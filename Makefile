@@ -4,16 +4,22 @@
 
 GO ?= go
 
-.PHONY: build test race check docs-check bench bench-tagged bench-gate certify-smoke certify-golden fleet-smoke dsl-smoke profile
+.PHONY: build fmt-check test race check docs-check bench bench-tagged bench-gate certify-smoke certify-golden fleet-smoke dsl-smoke profile
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails on any file gofmt would rewrite, exactly as CI's gofmt
+# step does.
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/popproto/
+	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/
 
 # docs-check is the documentation floor: vet must be clean, every package
 # (internal/, cmd/, examples/ and the root) must carry a package doc
@@ -26,7 +32,7 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/doccheck -pkgdoc . -apicheck . .
 
-check: build docs-check test race
+check: fmt-check build docs-check test race
 
 # service-smoke is the daemon's end-to-end acceptance run: build the real
 # fleserve binary, boot it on an ephemeral port, drive a 100-job concurrent

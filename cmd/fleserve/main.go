@@ -15,13 +15,13 @@
 //
 // Roles:
 //
-//	single       (default) one self-contained daemon
-//	coordinator  accepts jobs, splits distributable batches into trial
-//	             chunks, and leases them to workers over /chunks/*; also
-//	             runs chunks itself, so a fleet of one still makes progress
-//	worker       claims chunks from the coordinator at -join and reports
-//	             shard results; its own job endpoints answer 421 pointing
-//	             at the coordinator
+//	single       (default) one self-contained daemon: splits each trial
+//	             job into chunks and runs them with one runner per job
+//	coordinator  a single daemon that also leases the chunks its runners
+//	             have not reached to workers over /chunks/*
+//	worker       long-polls the coordinator at -join for chunks and
+//	             reports shard results; its own job endpoints answer 421
+//	             pointing at the coordinator
 //
 // With -cache-dir the result cache gains a crash-safe disk tier: results
 // survive restarts (a restarted daemon replays them with zero engine runs)
@@ -81,13 +81,13 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
 		workers  = fs.Int("workers", 0, "engine workers per job (0 = all CPUs); results are identical for any value")
-		parallel = fs.Int("parallel", 0, "concurrent engine runs (0 = 2); additional jobs queue")
+		parallel = fs.Int("parallel", 0, "concurrent jobs and sweeps, or worker claimants (0 = 2); additional jobs queue")
 		cache    = fs.Int("cache", 0, "result cache capacity in entries (0 = 4096)")
 		profiled = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU/heap profiling of the live daemon)")
 		role     = fs.String("role", "", "fleet role: single (default), coordinator, or worker")
 		join     = fs.String("join", "", "coordinator URL a worker claims chunks from (required with -role worker)")
 		cacheDir = fs.String("cache-dir", "", "directory for the crash-safe disk cache tier (empty = memory only)")
-		chunk    = fs.Int("fleet-chunk", 0, "trials per fleet chunk lease (0 = 512)")
+		chunk    = fs.Int("fleet-chunk", 0, "trials per job chunk (0 = 512)")
 		lease    = fs.Duration("lease", 0, "chunk lease TTL before a silent worker's chunk is re-issued (0 = 5s)")
 	)
 	var marFiles marFlag

@@ -84,9 +84,6 @@ func TestCompiledShardsMergeToNative(t *testing.T) {
 			if !ok {
 				t.Fatalf("scenario %s not registered", twin.Compiled)
 			}
-			if !s.Distributable() {
-				t.Fatalf("%s is not distributable", twin.Compiled)
-			}
 			o := scenario.Opts{Trials: trials, Workers: 2}
 			merged := ring.NewDistribution(s.N)
 			for i := 0; i+1 < len(cuts); i++ {

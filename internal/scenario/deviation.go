@@ -408,7 +408,7 @@ func (s Scenario) feasibleDeviation(cand DeviationCandidate, n int) bool {
 // ring.AttackTrialsOpts exactly as the registered attack scenarios do —
 // same seed derivation, same engine — so a sweep restricted to a scenario's
 // own candidate is byte-identical to the scenario's run, and a self
-// candidate re-runs the scenario's own run function at the candidate's
+// candidate re-runs the scenario's own batch at the candidate's
 // coalition size and target.
 func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCandidate, o Opts) (*ring.Distribution, error) {
 	p := s.params(o)
@@ -421,7 +421,7 @@ func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCa
 	switch cand.Family {
 	case "", FamilyIdentity:
 		if s.Attack == "" {
-			return s.run(ctx, seed, p)
+			return s.batch(ctx, seed, p)
 		}
 		if s.proto == nil {
 			return nil, fmt.Errorf("scenario: %s has no honest baseline run", s.Name)
@@ -432,7 +432,7 @@ func (s Scenario) RunDeviation(ctx context.Context, seed int64, cand DeviationCa
 			return nil, fmt.Errorf("scenario: %s is honest; the self family needs an attack run", s.Name)
 		}
 		p.K, p.Target = cand.K, cand.Target
-		return s.run(ctx, seed, p)
+		return s.batch(ctx, seed, p)
 	default:
 		proto, atk, err := s.deviationAttack(cand, p.N)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // serve it unchanged.
 
 // RegisterRingScenario registers an honest ring-simulator scenario running
-// proto under s.Scheduler. The run, chunked-job, and single-execution
+// proto under s.Scheduler. The chunked-job and single-execution
 // functions are derived exactly as for the init-time catalog, so the
 // scenario shards over the fleet (RunShard) and answers deviation sweeps
 // like any native entry.
@@ -30,7 +30,7 @@ func RegisterRingScenario(s Scenario, proto ring.Protocol) error {
 	}
 	chunks, single := ringHonest(proto, s.Scheduler)
 	s.proto = proto
-	s.chunks, s.run, s.single = chunks, chunkedRun(chunks), single
+	s.chunks, s.single = chunks, single
 	return tryRegister(s)
 }
 
@@ -52,7 +52,7 @@ func RegisterRingAttackScenario(s Scenario, proto ring.Protocol, family, mode st
 	}
 	chunks, single := ringFamilyAttack(proto, family, mode)
 	s.proto, s.family, s.mode = proto, family, mode
-	s.chunks, s.run, s.single = chunks, chunkedRun(chunks), single
+	s.chunks, s.single = chunks, single
 	return tryRegister(s)
 }
 

@@ -36,8 +36,8 @@ func tryRegister(s Scenario) error {
 		return fmt.Errorf("scenario: %s missing topology/protocol/scheduler", s.Name)
 	case s.N < 2 || s.Trials < 1:
 		return fmt.Errorf("scenario: %s has bad defaults n=%d trials=%d", s.Name, s.N, s.Trials)
-	case s.run == nil:
-		return fmt.Errorf("scenario: %s has no run function", s.Name)
+	case s.chunks == nil:
+		return fmt.Errorf("scenario: %s has no chunked job", s.Name)
 	}
 	if s.MinN == 0 {
 		s.MinN = 2

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -94,8 +95,6 @@ type params struct {
 }
 
 type (
-	// runFunc runs the scenario's trial batch on the engine.
-	runFunc func(ctx context.Context, seed int64, p params) (*ring.Distribution, error)
 	// chunksFunc builds the scenario's canonical chunked engine job for one
 	// (seed, params) configuration. The job must derive every per-trial
 	// result from the trial index alone, so any sub-range run through
@@ -107,20 +106,6 @@ type (
 	// (the schedule-independence property is a ring claim).
 	singleFunc func(seed int64, sched sim.Scheduler, p params, arena *sim.Arena) (sim.Result, error)
 )
-
-// chunkedRun derives a scenario's full-batch run function from its chunked
-// job builder: every registered scenario runs through this one path, so the
-// batch a coordinator decomposes into remote shards and the batch a single
-// node runs locally are the same job by construction.
-func chunkedRun(chunks chunksFunc) runFunc {
-	return func(ctx context.Context, seed int64, p params) (*ring.Distribution, error) {
-		job, err := chunks(seed, p)
-		if err != nil {
-			return nil, err
-		}
-		return engineBatch(ctx, p, job)
-	}
-}
 
 // Scenario is one named, runnable configuration.
 type Scenario struct {
@@ -154,7 +139,8 @@ type Scenario struct {
 	// Note is a one-line description for catalogs.
 	Note string
 
-	run    runFunc
+	// chunks builds the one chunked job every run executes: RunOpts and
+	// RunDeviation run the whole batch of it, RunShard a trial range.
 	chunks chunksFunc
 	single singleFunc
 
@@ -238,9 +224,6 @@ func (s Scenario) Run(ctx context.Context, seed int64) (*Outcome, error) {
 // trial engine; for a fixed seed the outcome is identical at any
 // opts.Workers.
 func (s Scenario) RunOpts(ctx context.Context, seed int64, o Opts) (*Outcome, error) {
-	if s.run == nil {
-		return nil, fmt.Errorf("scenario: %q is not runnable", s.Name)
-	}
 	p := s.params(o)
 	if p.N < s.MinN {
 		return nil, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
@@ -248,11 +231,29 @@ func (s Scenario) RunOpts(ctx context.Context, seed int64, o Opts) (*Outcome, er
 	if p.Trials < 1 {
 		return nil, fmt.Errorf("scenario: %s needs ≥ 1 trial, got %d", s.Name, p.Trials)
 	}
-	dist, err := s.run(ctx, seed, p)
+	dist, err := s.batch(ctx, seed, p)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
 	return s.outcome(dist, p), nil
+}
+
+// batch runs the scenario's whole trial batch on the engine.
+func (s Scenario) batch(ctx context.Context, seed int64, p params) (*ring.Distribution, error) {
+	job, err := s.job(seed, p)
+	if err != nil {
+		return nil, err
+	}
+	return engineBatch(ctx, p, job)
+}
+
+// job builds the scenario's chunked engine job, failing on a Scenario that
+// did not come from the registry.
+func (s Scenario) job(seed int64, p params) (engine.ChunkJob, error) {
+	if s.chunks == nil {
+		return nil, errors.New("not a registered scenario")
+	}
+	return s.chunks(seed, p)
 }
 
 // SingleRun executes one election of a ring-topology scenario under the
@@ -271,12 +272,6 @@ func (s Scenario) SingleRun(seed int64, sched sim.Scheduler, o Opts) (res sim.Re
 	return res, true, err
 }
 
-// Distributable reports whether the scenario exposes its trial batch as a
-// chunked job, i.e. whether RunShard can run arbitrary sub-ranges of it.
-// Every registered scenario is distributable; the accessor exists so fleet
-// schedulers can gate rather than assume.
-func (s Scenario) Distributable() bool { return s.chunks != nil }
-
 // RunShard runs logical trials [start, end) of the batch RunOpts(seed, o)
 // would run and returns their raw shard distribution. Per-trial seeds
 // derive from the logical index, so merging the shards of any partition of
@@ -285,9 +280,6 @@ func (s Scenario) Distributable() bool { return s.chunks != nil }
 // This is the unit of work a fleet worker claims from a coordinator.
 // Progress and Stop overrides are ignored: shards are plain sub-batches.
 func (s Scenario) RunShard(ctx context.Context, seed int64, o Opts, start, end int) (*ring.Distribution, error) {
-	if s.chunks == nil {
-		return nil, fmt.Errorf("scenario: %q has no chunked job", s.Name)
-	}
 	p := s.params(o)
 	if p.N < s.MinN {
 		return nil, fmt.Errorf("scenario: %s needs n ≥ %d, got %d", s.Name, s.MinN, p.N)
@@ -295,7 +287,7 @@ func (s Scenario) RunShard(ctx context.Context, seed int64, o Opts, start, end i
 	if start < 0 || end < start || end > p.Trials {
 		return nil, fmt.Errorf("scenario: %s shard [%d, %d) outside batch of %d trials", s.Name, start, end, p.Trials)
 	}
-	job, err := s.chunks(seed, p)
+	job, err := s.job(seed, p)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}

@@ -33,19 +33,7 @@ func (c *Client) BaseURL() string { return c.base }
 
 // get issues one GET and decodes the JSON body into out.
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return c.do(ctx, http.MethodGet, path, nil, out)
 }
 
 // checkStatus turns a non-2xx response into an error carrying the server's
@@ -92,31 +80,44 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return out, err
 }
 
-// Submit posts a job batch and returns the accepted states, in request
-// order. Cached jobs come back already done, result included.
-func (c *Client) Submit(ctx context.Context, reqs []JobRequest) ([]JobState, error) {
-	body, err := json.Marshal(BatchRequest{Jobs: reqs})
-	if err != nil {
-		return nil, err
+// do sends one request — with in marshaled as its JSON body unless in is
+// nil — and decodes a 2xx JSON answer into out unless out is nil.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer drainClose(resp.Body)
 	if err := checkStatus(resp); err != nil {
-		return nil, err
+		return err
 	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// Submit posts a job batch and returns the accepted states, in request
+// order. Cached jobs come back already done, result included.
+func (c *Client) Submit(ctx context.Context, reqs []JobRequest) ([]JobState, error) {
 	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
+	err := c.do(ctx, http.MethodPost, "/jobs", BatchRequest{Jobs: reqs}, &out)
+	return out.Jobs, err
 }
 
 // Job fetches one job's current state.
@@ -128,23 +129,14 @@ func (c *Client) Job(ctx context.Context, id string) (JobState, error) {
 
 // Cancel cancels a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	return checkStatus(resp)
+	return c.do(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
 }
 
 // watchStream follows one NDJSON watch endpoint, invoking fn (if non-nil)
-// on every decoded line, and returns the last state seen. status extracts
-// the lifecycle status so the shared loop can demand a terminal ending.
-func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func(T), status func(T) JobStatus) (T, error) {
-	var last T
+// on every decoded line, and returns the last state seen, which must be
+// terminal.
+func watchStream[P any](ctx context.Context, c *Client, path, id string, fn func(state[P])) (state[P], error) {
+	var last state[P]
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path+"/"+id+"?watch=1", nil)
 	if err != nil {
 		return last, err
@@ -161,7 +153,7 @@ func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func
 	scan.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	seen := false
 	for scan.Scan() {
-		var st T
+		var st state[P]
 		if err := json.Unmarshal(scan.Bytes(), &st); err != nil {
 			return last, fmt.Errorf("service: bad stream line: %w", err)
 		}
@@ -176,8 +168,8 @@ func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func
 	if !seen {
 		return last, fmt.Errorf("service: empty watch stream for %s", id)
 	}
-	if !status(last).Terminal() {
-		return last, fmt.Errorf("service: watch stream for %s ended at status %s", id, status(last))
+	if !last.Status.Terminal() {
+		return last, fmt.Errorf("service: watch stream for %s ended at status %s", id, last.Status)
 	}
 	return last, nil
 }
@@ -185,7 +177,7 @@ func watchStream[T any](ctx context.Context, c *Client, path, id string, fn func
 // Watch follows a job's NDJSON progress stream, invoking fn (if non-nil)
 // on every line, and returns the terminal state.
 func (c *Client) Watch(ctx context.Context, id string, fn func(JobState)) (JobState, error) {
-	return watchStream(ctx, c, "/jobs", id, fn, func(st JobState) JobStatus { return st.Status })
+	return watchStream(ctx, c, "/jobs", id, fn)
 }
 
 // Wait blocks until the job reaches a terminal state and returns it.
@@ -197,28 +189,9 @@ func (c *Client) Wait(ctx context.Context, id string) (JobState, error) {
 // in request order. Cached sweeps come back already done, certificate
 // included.
 func (c *Client) SubmitCerts(ctx context.Context, reqs []CertRequest) ([]CertState, error) {
-	body, err := json.Marshal(CertBatchRequest{Certs: reqs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/certify", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
 	var out CertBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Certs, nil
+	err := c.do(ctx, http.MethodPost, "/certify", CertBatchRequest{Certs: reqs}, &out)
+	return out.Certs, err
 }
 
 // Cert fetches one certification job's current state.
@@ -230,23 +203,14 @@ func (c *Client) Cert(ctx context.Context, id string) (CertState, error) {
 
 // CancelCert cancels a queued or running certification job.
 func (c *Client) CancelCert(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/certify/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	return checkStatus(resp)
+	return c.do(ctx, http.MethodDelete, "/certify/"+id, nil, nil)
 }
 
 // WatchCert follows a certification job's NDJSON progress stream —
 // one line per finished deviation candidate — invoking fn (if non-nil) on
 // every line, and returns the terminal state.
 func (c *Client) WatchCert(ctx context.Context, id string, fn func(CertState)) (CertState, error) {
-	return watchStream(ctx, c, "/certify", id, fn, func(st CertState) JobStatus { return st.Status })
+	return watchStream(ctx, c, "/certify", id, fn)
 }
 
 // WaitCert blocks until the certification job reaches a terminal state and

@@ -8,10 +8,12 @@
 //   - The Scheduler accepts batches of {scenario, n, trials, seed} job
 //     requests, content-addresses each one with scenario.JobKey,
 //     deduplicates identical jobs in flight (two concurrent submissions of
-//     the same key share one engine run), and multiplexes fresh work onto a
-//     bounded set of engine runs whose workers draw recycled sim.Arena
-//     workspaces from one shared engine.ArenaPool — arenas persist across
-//     jobs, not just across the trials of one job.
+//     the same key share one engine run), and runs each fresh trial job as
+//     a queue of trial-range chunks drained by one local runner in one of
+//     a bounded set of slots (a coordinator also leases the chunks to
+//     fleet workers). Engine workers draw recycled sim.Arena workspaces
+//     from one shared engine.ArenaPool — arenas persist across jobs, not
+//     just across the trials of one job.
 //   - The Cache stores each finished result's exact wire bytes under its
 //     job key. Deterministic seeding makes a cached distribution an exact
 //     replay, not an approximation, so a hit returns byte-identical output

@@ -2,7 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +11,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// Node roles. A single node schedules and runs everything in-process; a
-// coordinator decomposes trial jobs into chunks that workers (and its own
-// local claimants) lease over HTTP; a worker owns no jobs and only claims
-// chunks from the coordinator it joined.
+// Node roles. Single and coordinator nodes own jobs and run each one as a
+// queue of trial chunks drained by one local runner; a coordinator also
+// lets workers lease chunks from that queue over HTTP; a worker owns no
+// jobs and only claims chunks from the coordinator it joined.
 const (
 	RoleSingle      = "single"
 	RoleCoordinator = "coordinator"
@@ -69,11 +69,11 @@ type ChunkHeartbeat struct {
 	Lease int64 `json:"lease"`
 }
 
-// fleetTask is one trial job being distributed: its chunk results and the
-// chunk-order merge frontier. Results merge into merged strictly in chunk
-// index order — exactly the order the single-node engine folds its own
-// chunk stream — so the progress snapshots and the final distribution are
-// byte-identical to a local run at any fleet size.
+// fleetTask is one trial job in the chunk queue: its unclaimed chunks,
+// its chunk results, and the chunk-order merge frontier. Results merge
+// into merged strictly in chunk index order, whichever node ran them, so
+// the progress snapshots are chunk-ordered prefixes and the final
+// distribution is byte-identical to a whole-batch run at any fleet size.
 type fleetTask struct {
 	job  *Job
 	sc   scenario.Scenario
@@ -81,6 +81,7 @@ type fleetTask struct {
 
 	total    int                  // resolved trial count
 	chunks   int                  // total chunk count
+	queue    []*fleetChunk        // chunks nobody is running, lowest index first
 	results  []*ring.Distribution // per chunk index, nil until reported
 	frontier int                  // chunks merged into merged so far
 	merged   *ring.Distribution
@@ -90,31 +91,39 @@ type fleetTask struct {
 	aborted bool
 }
 
-// fleetChunk is one leasable trial range.
+// pop removes and returns the task's lowest queued chunk, or nil.
+func (t *fleetTask) pop() *fleetChunk {
+	if len(t.queue) == 0 {
+		return nil
+	}
+	c := t.queue[0]
+	t.queue = t.queue[1:]
+	return c
+}
+
+// fleetChunk is one claimable trial range.
 type fleetChunk struct {
 	task       *fleetTask
 	index      int
 	start, end int
-	lease      int64 // current lease id; 0 while queued
+	lease      int64 // current remote lease id; 0 while queued or local
 	expires    time.Time
 }
 
-// fleet is the coordinator's chunk exchange: a queue of unleased chunks, a
-// lease table, and the merge state of every distributed job. Locking: f.mu
-// is leaf-level — nothing under it takes s.mu or a job's mu except the
-// progress update path, which takes job.mu (itself a leaf). Scheduler
-// methods may call into fleet while holding no locks.
+// fleet is a node's chunk queue: the live tasks in submission order, the
+// lease table of chunks running on remote claimants, and the merge state
+// of every task. Locking: f.mu is leaf-level — nothing under it takes s.mu
+// or a job's mu. Scheduler methods call into fleet while holding no locks.
 type fleet struct {
 	s         *Scheduler
 	chunkSize int
 	ttl       time.Duration
 
 	mu        sync.Mutex
-	cond      *sync.Cond // signaled when queue gains work or the fleet closes
-	queue     []*fleetChunk
+	wake      chan struct{} // closed and replaced whenever chunks join a queue
+	tasks     []*fleetTask
 	leased    map[int64]*fleetChunk
 	nextLease int64
-	closed    bool
 
 	enqueued  atomic.Int64 // chunks created
 	completed atomic.Int64 // chunk results folded in
@@ -122,15 +131,14 @@ type fleet struct {
 	remote    atomic.Int64 // claims granted over HTTP
 }
 
-// newFleet builds the coordinator state and starts its goroutines: one
-// janitor that reclaims expired leases even when no claim traffic arrives,
-// and cfg.Parallel local claimants, so a coordinator with zero workers
-// still drains every job by itself.
+// newFleet builds the chunk queue and starts its janitor, which reclaims
+// expired leases even when no claim traffic arrives.
 func newFleet(s *Scheduler) *fleet {
 	f := &fleet{
 		s:         s,
 		chunkSize: s.cfg.FleetChunk,
 		ttl:       s.cfg.LeaseTTL,
+		wake:      make(chan struct{}),
 		leased:    make(map[int64]*fleetChunk),
 	}
 	if f.chunkSize <= 0 {
@@ -139,19 +147,12 @@ func newFleet(s *Scheduler) *fleet {
 	if f.ttl <= 0 {
 		f.ttl = DefaultLeaseTTL
 	}
-	f.cond = sync.NewCond(&f.mu)
 	s.wg.Add(1)
 	go f.janitor()
-	for i := 0; i < s.cfg.Parallel; i++ {
-		s.wg.Add(1)
-		go f.localClaimant()
-	}
 	return f
 }
 
-// janitor periodically reclaims expired leases and wakes blocked local
-// claimants; it also propagates scheduler shutdown into the cond so no
-// claimant sleeps through Close.
+// janitor periodically reclaims expired leases until the scheduler closes.
 func (f *fleet) janitor() {
 	defer f.s.wg.Done()
 	ticker := time.NewTicker(f.ttl / 2)
@@ -159,56 +160,53 @@ func (f *fleet) janitor() {
 	for {
 		select {
 		case <-f.s.baseCtx.Done():
-			f.mu.Lock()
-			f.closed = true
-			f.cond.Broadcast()
-			f.mu.Unlock()
 			return
 		case <-ticker.C:
 			f.mu.Lock()
 			f.reclaimExpiredLocked()
-			if len(f.queue) > 0 {
-				f.cond.Broadcast()
-			}
 			f.mu.Unlock()
 		}
 	}
 }
 
-// enqueue decomposes one fresh job into leasable chunks and returns its
-// task; runFleet waits on task.done.
+// wakeLocked wakes every waiting runner and long-polling claimant.
+// Callers hold f.mu.
+func (f *fleet) wakeLocked() {
+	close(f.wake)
+	f.wake = make(chan struct{})
+}
+
+// enqueue decomposes one fresh job into claimable chunks and returns its
+// task.
 func (f *fleet) enqueue(j *Job, sc scenario.Scenario, opts scenario.Opts) *fleetTask {
 	n, total := sc.Resolve(opts)
-	task := &fleetTask{
+	t := &fleetTask{
 		job:    j,
 		sc:     sc,
 		opts:   opts,
 		total:  total,
+		chunks: (total + f.chunkSize - 1) / f.chunkSize,
 		merged: ring.NewDistribution(n),
 		done:   make(chan struct{}),
 	}
-	task.chunks = (total + f.chunkSize - 1) / f.chunkSize
-	task.results = make([]*ring.Distribution, task.chunks)
-
-	f.mu.Lock()
+	t.results = make([]*ring.Distribution, t.chunks)
 	for i, start := 0, 0; start < total; i, start = i+1, start+f.chunkSize {
-		end := start + f.chunkSize
-		if end > total {
-			end = total
-		}
-		f.queue = append(f.queue, &fleetChunk{task: task, index: i, start: start, end: end})
+		t.queue = append(t.queue, &fleetChunk{task: t, index: i, start: start, end: min(start+f.chunkSize, total)})
 	}
-	f.enqueued.Add(int64(task.chunks))
-	f.cond.Broadcast()
+	f.mu.Lock()
+	f.tasks = append(f.tasks, t)
+	f.enqueued.Add(int64(t.chunks))
+	f.wakeLocked()
 	f.mu.Unlock()
-	return task
+	return t
 }
 
 // reclaimExpiredLocked sweeps the lease table: expired chunks of live
-// tasks rejoin the queue under a fresh claim; chunks of dead tasks are
+// tasks rejoin the front of their task's queue; chunks of dead tasks are
 // dropped. Callers hold f.mu.
 func (f *fleet) reclaimExpiredLocked() {
 	now := time.Now()
+	reissued := false
 	for id, c := range f.leased {
 		if now.Before(c.expires) {
 			continue
@@ -216,74 +214,101 @@ func (f *fleet) reclaimExpiredLocked() {
 		delete(f.leased, id)
 		c.lease = 0
 		if !c.task.aborted {
-			f.queue = append(f.queue, c)
+			c.task.queue = append([]*fleetChunk{c}, c.task.queue...)
 			f.reissued.Add(1)
+			reissued = true
 		}
 	}
-}
-
-// popLocked removes and returns the next live queued chunk, discarding
-// chunks whose task has died. Callers hold f.mu.
-func (f *fleet) popLocked() *fleetChunk {
-	for len(f.queue) > 0 {
-		c := f.queue[0]
-		f.queue[0] = nil
-		f.queue = f.queue[1:]
-		if c.task.aborted {
-			continue
-		}
-		return c
-	}
-	return nil
-}
-
-// leaseLocked grants a lease on c. Callers hold f.mu.
-func (f *fleet) leaseLocked(c *fleetChunk) {
-	f.nextLease++
-	c.lease = f.nextLease
-	c.expires = time.Now().Add(f.ttl)
-	f.leased[c.lease] = c
-}
-
-// claimRemote hands one chunk to an HTTP claimant, or nil when no work is
-// queued. Remote claimants poll; only local claimants block.
-func (f *fleet) claimRemote() *ChunkLease {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil
-	}
-	f.reclaimExpiredLocked()
-	c := f.popLocked()
-	if c == nil {
-		return nil
-	}
-	f.leaseLocked(c)
-	f.remote.Add(1)
-	return &ChunkLease{
-		Lease:    c.lease,
-		Job:      c.task.job.Req,
-		Start:    c.start,
-		End:      c.end,
-		TTLMilli: f.ttl.Milliseconds(),
+	if reissued {
+		f.wakeLocked()
 	}
 }
 
-// claimBlocking waits for a chunk for a local claimant, returning nil when
-// the fleet shuts down.
-func (f *fleet) claimBlocking() *fleetChunk {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// drain is a job's local runner: it runs the task's queued chunks
+// in-process through RunShard, one at a time, until the merge covers the
+// batch, the task dies, or the job is canceled. Between chunks it waits
+// for remote results or for re-issued chunks of its own task.
+func (f *fleet) drain(t *fleetTask) {
+	ctx := t.job.ctx
+	o := t.opts
+	o.Workers = f.s.cfg.Workers
+	o.Arenas = f.s.arenas
 	for {
-		if f.closed {
+		f.mu.Lock()
+		c := t.pop()
+		wake := f.wake
+		f.mu.Unlock()
+		if c == nil {
+			select {
+			case <-t.done:
+				return
+			case <-ctx.Done():
+				return
+			case <-wake:
+				continue
+			}
+		}
+		f.s.busy.Add(1)
+		dist, err := t.sc.RunShard(ctx, t.job.Req.Seed, o, c.start, c.end)
+		f.s.busy.Add(-1)
+		if ctx.Err() != nil {
+			return
+		}
+		if err != nil {
+			f.fold(c, nil, err.Error())
+		} else {
+			f.fold(c, dist, "")
+		}
+	}
+}
+
+// claimHold bounds one long-poll claim: a third of the lease TTL, so an
+// idle claimant calls about as often as a busy one heartbeats, and never
+// more than a third of the worker client's timeout.
+func (f *fleet) claimHold() time.Duration {
+	return min(f.ttl/3, workerClientTimeout/3)
+}
+
+// claim hands one chunk to a remote claimant, long-polling: with nothing
+// queued it waits up to claimHold for work to arrive, and returns nil
+// when the hold expires, the request is canceled, or the scheduler
+// closes. Remote claimants take the oldest task's lowest chunk.
+func (f *fleet) claim(ctx context.Context) *ChunkLease {
+	ctx, cancel := context.WithTimeout(ctx, f.claimHold())
+	defer cancel()
+	for {
+		f.mu.Lock()
+		f.reclaimExpiredLocked()
+		var c *fleetChunk
+		for _, t := range f.tasks {
+			if c = t.pop(); c != nil {
+				break
+			}
+		}
+		if c != nil {
+			f.nextLease++
+			c.lease = f.nextLease
+			c.expires = time.Now().Add(f.ttl)
+			f.leased[c.lease] = c
+			f.mu.Unlock()
+			f.remote.Add(1)
+			return &ChunkLease{
+				Lease:    c.lease,
+				Job:      c.task.job.Req,
+				Start:    c.start,
+				End:      c.end,
+				TTLMilli: f.ttl.Milliseconds(),
+			}
+		}
+		wake := f.wake
+		f.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil
+		case <-f.s.baseCtx.Done():
 			return nil
 		}
-		f.reclaimExpiredLocked()
-		if c := f.popLocked(); c != nil {
-			f.leaseLocked(c)
-			return c
-		}
-		f.cond.Wait()
 	}
 }
 
@@ -301,28 +326,34 @@ func (f *fleet) heartbeat(lease int64) bool {
 	return true
 }
 
-// report resolves a lease with its shard result or error. Unknown leases
-// (expired and re-issued, canceled jobs) report false and the result is
-// dropped — the lease table is what makes re-issued chunks merge exactly
-// once. A chunk error fails the whole task: partial batches are never
-// cached or served.
+// report resolves a remote lease with its shard result or error. Unknown
+// leases (expired and re-issued, canceled jobs) report false and the
+// result is dropped — the lease table is what makes re-issued chunks merge
+// exactly once.
 func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool {
 	f.mu.Lock()
 	c, ok := f.leased[lease]
-	if !ok {
-		f.mu.Unlock()
-		return false
-	}
 	delete(f.leased, lease)
+	f.mu.Unlock()
+	if ok {
+		f.fold(c, dist, errMsg)
+	}
+	return ok
+}
+
+// fold merges one finished chunk into its task. A chunk error fails the
+// whole task: partial batches are never cached or served.
+func (f *fleet) fold(c *fleetChunk, dist *ring.Distribution, errMsg string) {
+	f.mu.Lock()
 	t := c.task
 	if t.aborted {
 		f.mu.Unlock()
-		return true
+		return
 	}
 	if errMsg != "" {
-		f.failTaskLocked(t, &chunkError{index: c.index, msg: errMsg})
+		f.failTaskLocked(t, errors.New(errMsg))
 		f.mu.Unlock()
-		return true
+		return
 	}
 	t.results[c.index] = dist
 	f.completed.Add(1)
@@ -338,61 +369,60 @@ func (f *fleet) report(lease int64, dist *ring.Distribution, errMsg string) bool
 	frontierTrials := t.merged.Trials
 	finished := t.frontier == t.chunks
 	if finished {
+		f.removeLocked(t)
 		close(t.done)
 	}
-	// Snapshot while still holding f.mu: the next reporter's frontier
-	// advance mutates t.merged, so reading it outside the lock races.
-	var snap scenario.Snapshot
+	// Snapshot while still holding f.mu: the next fold's frontier advance
+	// mutates t.merged, so reading it outside the lock races. The final
+	// snapshot is published by runTrials once the outcome exists.
 	publish := frontierTrials > 0 && !finished
+	var snap scenario.Snapshot
 	if publish {
 		snap = scenario.NewSnapshot(t.merged, frontierTrials, t.total)
 	}
 	f.mu.Unlock()
-
-	// Progress accounting outside f.mu: job.mu and the scheduler counter
-	// are leaves of their own.
 	if publish {
-		f.publishProgress(t, snap, frontierTrials)
+		f.publish(t.job, snap)
 	}
-	return true
 }
 
-// publishProgress mirrors the engine's Progress callback for a distributed
-// job: a deterministic chunk-ordered prefix snapshot.
-func (f *fleet) publishProgress(t *fleetTask, snap scenario.Snapshot, done int) {
-	j := t.job
+// publish records a chunk-ordered prefix snapshot as the job's progress
+// and counts its new trials in the scheduler's throughput.
+func (f *fleet) publish(j *Job, snap scenario.Snapshot) {
 	j.mu.Lock()
-	if done < j.lastDone {
-		// A stale prefix (racing reporters) must never regress the stream.
+	if snap.Done < j.lastDone {
+		// A stale prefix (racing folds) must never regress the stream.
 		j.mu.Unlock()
 		return
 	}
-	j.snap, j.hasSnap = snap, true
-	delta := done - j.lastDone
-	j.lastDone = done
+	delta := snap.Done - j.lastDone
+	j.progress, j.lastDone = &snap, snap.Done
 	j.mu.Unlock()
 	f.s.trialsDone.Add(int64(delta))
 }
 
-// chunkError carries the failing chunk's index for error reporting.
-type chunkError struct {
-	index int
-	msg   string
+// removeLocked drops a finished or dead task from the queue. Callers hold
+// f.mu.
+func (f *fleet) removeLocked(t *fleetTask) {
+	for i, x := range f.tasks {
+		if x == t {
+			f.tasks = append(f.tasks[:i], f.tasks[i+1:]...)
+			return
+		}
+	}
 }
 
-func (e *chunkError) Error() string {
-	return e.msg
-}
-
-// failTaskLocked kills a task: queued chunks die lazily via the aborted
-// flag, in-flight leases are dropped so late results bounce, and done
-// closes exactly once. Callers hold f.mu.
+// failTaskLocked kills a task: its queued chunks are dropped, in-flight
+// leases are dropped so late results bounce, and done closes exactly
+// once. Callers hold f.mu.
 func (f *fleet) failTaskLocked(t *fleetTask, err error) {
 	if t.aborted || t.frontier == t.chunks {
 		return
 	}
 	t.aborted = true
 	t.err = err
+	t.queue = nil
+	f.removeLocked(t)
 	for id, c := range f.leased {
 		if c.task == t {
 			delete(f.leased, id)
@@ -406,105 +436,4 @@ func (f *fleet) abort(t *fleetTask) {
 	f.mu.Lock()
 	f.failTaskLocked(t, t.job.ctx.Err())
 	f.mu.Unlock()
-}
-
-// localClaimant is the coordinator's in-process worker loop: claim, run,
-// report. It shares the scheduler's arena pool and worker count with the
-// single-node path, so a zero-worker coordinator is operationally a
-// single node with chunk-granular scheduling.
-func (f *fleet) localClaimant() {
-	defer f.s.wg.Done()
-	for {
-		c := f.claimBlocking()
-		if c == nil {
-			return
-		}
-		f.runLocal(c)
-	}
-}
-
-// runLocal executes one claimed chunk in-process, heartbeating like a
-// remote worker so long chunks survive their lease.
-func (f *fleet) runLocal(c *fleetChunk) {
-	f.s.busy.Add(1)
-	defer f.s.busy.Add(-1)
-	t := c.task
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		ticker := time.NewTicker(f.ttl / 3)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if !f.heartbeat(c.lease) {
-					return
-				}
-			}
-		}
-	}()
-	o := t.opts
-	o.Workers = f.s.cfg.Workers
-	o.Arenas = f.s.arenas
-	dist, err := t.sc.RunShard(t.job.ctx, t.job.Req.Seed, o, c.start, c.end)
-	if err != nil {
-		f.report(c.lease, nil, err.Error())
-		return
-	}
-	f.report(c.lease, dist, "")
-}
-
-// runFleet is the coordinator counterpart of run: decompose the job,
-// wait for the chunk-order merge to cover the batch, summarize, cache.
-func (s *Scheduler) runFleet(j *Job, sc scenario.Scenario) {
-	defer s.wg.Done()
-	defer j.cancel()
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.mu.Unlock()
-
-	opts := j.Req.opts()
-	task := s.fleet.enqueue(j, sc, opts)
-	select {
-	case <-task.done:
-	case <-j.ctx.Done():
-		s.fleet.abort(task)
-	}
-	s.fleet.mu.Lock()
-	err, merged := task.err, task.merged
-	s.fleet.mu.Unlock()
-	switch {
-	case j.ctx.Err() != nil:
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, context.Cause(j.ctx).Error())
-		s.retire(j)
-	case err != nil:
-		s.failed.Add(1)
-		j.finish(StatusFailed, nil, err.Error())
-		s.retire(j)
-	default:
-		out := sc.OutcomeFromDist(merged, opts)
-		b, merr := json.Marshal(out)
-		if merr != nil {
-			s.failed.Add(1)
-			j.finish(StatusFailed, nil, merr.Error())
-			s.retire(j)
-			return
-		}
-		f := s.fleet
-		f.publishFinal(task)
-		s.cachePut(j.ID, b)
-		s.completed.Add(1)
-		j.finish(StatusDone, b, "")
-	}
-}
-
-// publishFinal records the completed batch in the trial counters (the
-// final frontier advance skips publishProgress so done is only ever
-// published after the outcome exists). The task is finished, so t.merged
-// is quiescent and safe to read without f.mu.
-func (f *fleet) publishFinal(t *fleetTask) {
-	f.publishProgress(t, scenario.NewSnapshot(t.merged, t.total, t.total), t.total)
 }

@@ -49,30 +49,83 @@ func waitResult(t *testing.T, client *Client, req JobRequest) JobState {
 }
 
 // TestFleetCoordinatorAloneByteIdentity pins the tentpole invariant at
-// fleet size one: a coordinator with no workers (local claimants only)
-// produces bytes identical to a bare engine run, across chunk sizes that
-// do and do not divide the batch.
+// fleet size one: a coordinator with no workers, and a single node, run
+// every job through the same chunk queue and produce bytes identical to a
+// bare engine run, across chunk sizes that do and do not divide the
+// batch. A single node serves no chunk routes.
 func TestFleetCoordinatorAloneByteIdentity(t *testing.T) {
 	req := JobRequest{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 500, Seed: 77}
 	want := directBytes(t, req)
-	for _, chunk := range []int{1000, 100, 33} {
-		cfg := Config{Version: "fleet-one", Role: RoleCoordinator, FleetChunk: chunk}
-		srv, client := newTestServer(t, cfg)
-		final := waitResult(t, client, req)
-		if final.Status != StatusDone {
-			t.Fatalf("chunk %d: job ended %s: %s", chunk, final.Status, final.Error)
+	for _, role := range []string{RoleCoordinator, RoleSingle} {
+		for _, chunk := range []int{1000, 100, 33} {
+			cfg := Config{Version: "fleet-one", Role: role, FleetChunk: chunk}
+			srv, client := newTestServer(t, cfg)
+			final := waitResult(t, client, req)
+			if final.Status != StatusDone {
+				t.Fatalf("%s chunk %d: job ended %s: %s", role, chunk, final.Status, final.Error)
+			}
+			if !bytes.Equal(final.Result, want) {
+				t.Fatalf("%s chunk %d: result differs from single-node bytes", role, chunk)
+			}
+			st := srv.Scheduler().Stats()
+			if st.Fleet.Role != role {
+				t.Fatalf("role = %q, want %q", st.Fleet.Role, role)
+			}
+			wantChunks := (500 + chunk - 1) / chunk
+			if st.Fleet.ChunksCompleted != int64(wantChunks) {
+				t.Fatalf("%s chunk %d: completed %d chunks, want %d", role, chunk, st.Fleet.ChunksCompleted, wantChunks)
+			}
+			if role != RoleSingle {
+				continue
+			}
+			body, _ := json.Marshal(ClaimRequest{Version: srv.Scheduler().Version()})
+			resp, err := http.Post(client.BaseURL()+"/chunks/claim", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("single node answered /chunks/claim with %d, want 404", resp.StatusCode)
+			}
 		}
-		if !bytes.Equal(final.Result, want) {
-			t.Fatalf("chunk %d: fleet result differs from single-node bytes", chunk)
+	}
+}
+
+// TestSingleNodeRunsOneChunkAtATime pins a single node's engine footprint:
+// even with two Parallel slots free, one multi-chunk job has one local
+// runner, so at most one RunShard is in flight and the other CPU stays
+// with the HTTP handlers. Spreading one job over every slot is what made
+// cached replays slow under load.
+func TestSingleNodeRunsOneChunkAtATime(t *testing.T) {
+	srv, client := newTestServer(t, Config{Version: "single-one", Parallel: 2, Workers: 1, FleetChunk: 250})
+	req := JobRequest{Scenario: "ring/a-lead/fifo", N: 24, Trials: 4000, Seed: 17}
+	states, err := client.Submit(context.Background(), []JobRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := srv.Scheduler()
+	j, ok := sched.Job(states[0].ID)
+	if !ok {
+		t.Fatal("submitted job not registered")
+	}
+	sawBusy := false
+	for done := false; !done; {
+		select {
+		case <-j.Done():
+			done = true
+		case <-time.After(time.Millisecond):
 		}
-		st := srv.Scheduler().Stats()
-		if st.Fleet.Role != RoleCoordinator {
-			t.Fatalf("role = %q", st.Fleet.Role)
+		busy := sched.Stats().Workers.Busy
+		if busy > 1 {
+			t.Fatalf("%d chunks of one job ran at once on a single node, want at most 1", busy)
 		}
-		wantChunks := (500 + chunk - 1) / chunk
-		if st.Fleet.ChunksCompleted != int64(wantChunks) {
-			t.Fatalf("chunk %d: completed %d chunks, want %d", chunk, st.Fleet.ChunksCompleted, wantChunks)
-		}
+		sawBusy = sawBusy || busy == 1
+	}
+	if st := j.State(); st.Status != StatusDone {
+		t.Fatalf("job ended %s: %s", st.Status, st.Error)
+	}
+	if !sawBusy {
+		t.Fatal("never observed the job's runner busy")
 	}
 }
 
@@ -121,7 +174,7 @@ func TestFleetChunkProtocol(t *testing.T) {
 	resp.Body.Close()
 
 	// Submit a job and work as a protocol-level claimant alongside the
-	// coordinator's local claimants: claim, run the exact leased range,
+	// job's local runner: claim, run the exact leased range,
 	// report. Whoever wins each chunk, the merged bytes must equal the
 	// bare engine run.
 	req := JobRequest{Scenario: "ring/basic-lead/fifo", N: 8, Trials: 400, Seed: 31}
@@ -289,8 +342,8 @@ func TestFleetWorkersEndToEnd(t *testing.T) {
 // the worker's heartbeats keep extending it, the chunk is never re-issued,
 // and the result still matches single-node bytes.
 func TestFleetWorkerHeartbeatKeepsLongChunkAlive(t *testing.T) {
-	// Two chunks, each taking several TTLs to compute: the coordinator's
-	// single local claimant takes one, the worker claims the other, and
+	// Two chunks, each taking several TTLs to compute: the job's local
+	// runner takes one, the worker claims the other, and
 	// only heartbeats keep the worker's lease alive across its long run.
 	coord, client := newTestServer(t, Config{
 		Version: "fleet-beat", Role: RoleCoordinator,

@@ -111,26 +111,35 @@ func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
 // still gets its results computed (and cached) for the next asker.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
+	serveBatch(w, r, &batch, &batch.Jobs, s.sched.Submit, func(st []JobState) any { return BatchResponse{Jobs: st} })
+}
+
+// serveBatch decodes one submission batch into batch, whose request list
+// is reqs, submits it, and answers with wrap(the accepted states), in
+// request order. Work resolved from the cache arrives already done, result
+// included.
+func serveBatch[R request, P any](w http.ResponseWriter, r *http.Request, batch any, reqs *[]R,
+	submit func([]R) ([]*work[R, P], error), wrap func([]state[P]) any) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
+	if err := dec.Decode(batch); err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return
 	}
-	if len(batch.Jobs) > maxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-job limit", len(batch.Jobs), maxBatch)
+	if len(*reqs) > maxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-job limit", len(*reqs), maxBatch)
 		return
 	}
-	jobs, err := s.sched.Submit(batch.Jobs)
+	jobs, err := submit(*reqs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := BatchResponse{Jobs: make([]JobState, len(jobs))}
+	states := make([]state[P], len(jobs))
 	for i, j := range jobs {
-		resp.Jobs[i] = j.State()
+		states[i] = j.State()
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	writeJSON(w, http.StatusAccepted, wrap(states))
 }
 
 // handleJob serves one job's state; with ?watch=1 it streams NDJSON
@@ -138,8 +147,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // (result included) — until the job finishes or the client goes away.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Job(r.PathValue("id"))
+	serveWork(w, r, "job", j, ok)
+}
+
+// serveWork serves one job or certification job through serveWatchable,
+// or 404 when !ok.
+func serveWork[R request, P any](w http.ResponseWriter, r *http.Request, what string, j *work[R, P], ok bool) {
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		writeError(w, http.StatusNotFound, "no such %s", what)
 		return
 	}
 	serveWatchable(w, r, j.Done(), func() (any, bool) {
@@ -197,16 +212,22 @@ func serveWatchable(w http.ResponseWriter, r *http.Request, done <-chan struct{}
 
 // handleCancel cancels a queued or running job.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.sched.Cancel(id) {
+	serveCancel(w, r.PathValue("id"), "job", s.sched.Job)
+}
+
+// serveCancel cancels the job or certification job find returns for id:
+// 200 when a cancelation was delivered, 409 when it is already terminal,
+// 404 when it is unknown.
+func serveCancel[R request, P any](w http.ResponseWriter, id, what string, find func(string) (*work[R, P], bool)) {
+	j, ok := find(id)
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, "no such %s", what)
+	case j.stop():
 		writeJSON(w, http.StatusOK, map[string]any{"canceled": true})
-		return
+	default:
+		writeError(w, http.StatusConflict, "%s is already %s", what, j.State().Status)
 	}
-	if j, ok := s.sched.Job(id); ok {
-		writeError(w, http.StatusConflict, "job is already %s", j.State().Status)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no such job")
 }
 
 // CertBatchRequest is the POST /certify payload.
@@ -226,26 +247,7 @@ type CertBatchResponse struct {
 // computation whose cached certificate replays byte-for-byte.
 func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	var batch CertBatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
-		return
-	}
-	if len(batch.Certs) > maxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-job limit", len(batch.Certs), maxBatch)
-		return
-	}
-	jobs, err := s.sched.SubmitCerts(batch.Certs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp := CertBatchResponse{Certs: make([]CertState, len(jobs))}
-	for i, j := range jobs {
-		resp.Certs[i] = j.State()
-	}
-	writeJSON(w, http.StatusAccepted, resp)
+	serveBatch(w, r, &batch, &batch.Certs, s.sched.SubmitCerts, func(st []CertState) any { return CertBatchResponse{Certs: st} })
 }
 
 // handleCert serves one certification job's state; with ?watch=1 it streams
@@ -253,34 +255,19 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 // with the terminal state, certificate included.
 func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.sched.Cert(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such certification job")
-		return
-	}
-	serveWatchable(w, r, j.Done(), func() (any, bool) {
-		st := j.State()
-		return st, st.Status.Terminal()
-	})
+	serveWork(w, r, "certification job", j, ok)
 }
 
 // handleCancelCert cancels a queued or running certification job.
 func (s *Server) handleCancelCert(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.sched.CancelCert(id) {
-		writeJSON(w, http.StatusOK, map[string]any{"canceled": true})
-		return
-	}
-	if j, ok := s.sched.Cert(id); ok {
-		writeError(w, http.StatusConflict, "certification job is already %s", j.State().Status)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no such certification job")
+	serveCancel(w, r.PathValue("id"), "certification job", s.sched.Cert)
 }
 
 // handleChunkClaim leases one queued trial chunk to a fleet claimant: 200
-// with the lease, 204 when nothing is queued, 409 when the claimant's code
-// version differs from the coordinator's (shards from a different build
-// must never fold into a job).
+// with the lease, 204 when nothing was queued for the whole long-poll
+// hold, 409 when the claimant's code version differs from the
+// coordinator's (shards from a different build must never fold into a
+// job).
 func (s *Server) handleChunkClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -293,7 +280,7 @@ func (s *Server) handleChunkClaim(w http.ResponseWriter, r *http.Request) {
 			s.sched.Version(), req.Version)
 		return
 	}
-	lease := s.sched.fleet.claimRemote()
+	lease := s.sched.fleet.claim(r.Context())
 	if lease == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return

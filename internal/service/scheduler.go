@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -37,101 +35,18 @@ func (r JobRequest) opts() scenario.Opts {
 	return scenario.Opts{N: r.N, Trials: r.Trials, K: r.K, Target: r.Target}
 }
 
-// JobStatus is a job's lifecycle state.
-type JobStatus string
+// identity implements request.
+func (r JobRequest) identity() (string, int64) { return r.Scenario, r.Seed }
 
-// Job lifecycle states. Queued and running jobs are in flight; done,
-// failed, and canceled are terminal.
-const (
-	StatusQueued   JobStatus = "queued"
-	StatusRunning  JobStatus = "running"
-	StatusDone     JobStatus = "done"
-	StatusFailed   JobStatus = "failed"
-	StatusCanceled JobStatus = "canceled"
-)
+// JobState is the wire representation of a trial job at one instant: what
+// GET /jobs/{id} returns and what each NDJSON stream line carries, with a
+// deterministic chunk-ordered progress snapshot while it runs. Result holds
+// the exact cached bytes of the outcome.
+type JobState = state[scenario.Snapshot]
 
-// Terminal reports whether the status is final.
-func (s JobStatus) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCanceled
-}
-
-// JobState is the wire representation of a job at one instant: what GET
-// /jobs/{id} returns and what each NDJSON stream line carries. Result holds
-// the exact cached bytes of the outcome, so byte identity survives the
-// round trip through the API.
-type JobState struct {
-	ID       string             `json:"id"`
-	Scenario string             `json:"scenario"`
-	Seed     int64              `json:"seed"`
-	Status   JobStatus          `json:"status"`
-	Cached   bool               `json:"cached,omitempty"`
-	Deduped  int                `json:"deduped,omitempty"`
-	Progress *scenario.Snapshot `json:"progress,omitempty"`
-	Error    string             `json:"error,omitempty"`
-	Result   json.RawMessage    `json:"result,omitempty"`
-}
-
-// Job is one scheduled unit of work. Its identity is its content address:
-// two requests with the same JobKey are the same job.
-type Job struct {
-	// ID is the job's content address (scenario.JobKey).
-	ID string
-	// Req is the request that first created the job.
-	Req JobRequest
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu       sync.Mutex
-	status   JobStatus
-	cached   bool
-	deduped  int
-	result   []byte
-	errMsg   string
-	snap     scenario.Snapshot
-	hasSnap  bool
-	lastDone int
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// State captures the job's current wire state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobState{
-		ID:       j.ID,
-		Scenario: j.Req.Scenario,
-		Seed:     j.Req.Seed,
-		Status:   j.status,
-		Cached:   j.cached,
-		Deduped:  j.deduped,
-		Error:    j.errMsg,
-	}
-	if j.hasSnap {
-		snap := j.snap
-		st.Progress = &snap
-	}
-	if j.result != nil {
-		st.Result = json.RawMessage(j.result)
-	}
-	return st
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(status JobStatus, result []byte, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.Terminal() {
-		return
-	}
-	j.status = status
-	j.result = result
-	j.errMsg = errMsg
-	close(j.done)
-}
+// Job is one scheduled trial job. Its identity is its content address
+// (scenario.JobKey): two requests with the same key are the same job.
+type Job = work[JobRequest, scenario.Snapshot]
 
 // Config tunes one daemon instance.
 type Config struct {
@@ -140,8 +55,12 @@ type Config struct {
 	// Workers is the engine worker count per job run; 0 picks
 	// runtime.NumCPU(). Results are identical for any value.
 	Workers int
-	// Parallel bounds the number of engine runs in flight at once; 0
-	// picks 2. Additional jobs queue.
+	// Parallel bounds the number of jobs and certification sweeps this
+	// node runs at once; 0 picks 2. Each running trial job has one local
+	// runner that executes its chunks one at a time at Workers workers;
+	// additional jobs queue (on a coordinator, remote workers may still
+	// claim a queued job's chunks). On a worker node it is the number of
+	// concurrent claimants.
 	Parallel int
 	// CacheSize is the result cache capacity in entries; 0 picks
 	// DefaultCacheSize. The same bound caps retained failed/canceled job
@@ -169,20 +88,23 @@ type Config struct {
 	// profile`). Off by default: the endpoints expose stacks and timings
 	// and belong behind an operator's explicit opt-in.
 	Profiling bool
-	// Role selects the node's fleet role: RoleSingle (default when empty)
-	// runs jobs entirely in-process; RoleCoordinator decomposes trial
-	// jobs into chunk leases served at /chunks/* and merges the shards in
-	// chunk order, so results are byte-identical to a single node at any
-	// fleet size; RoleWorker joins a coordinator and only claims chunks.
+	// Role selects the node's fleet role. Every job-owning node splits a
+	// trial job into FleetChunk-trial chunks, runs them through one local
+	// runner, and merges the shards in chunk order. RoleCoordinator
+	// additionally serves the chunk queue at /chunks/* so RoleWorker nodes
+	// can lease chunks from it; RoleSingle (the default when empty) does
+	// not. Results are byte-identical at any fleet size. RoleWorker joins a
+	// coordinator and only claims chunks.
 	Role string
 	// Join is the coordinator base URL a RoleWorker node claims from
 	// (e.g. "http://127.0.0.1:8080"). Required for workers, ignored
 	// otherwise.
 	Join string
-	// FleetChunk is the coordinator's trials-per-chunk decomposition
-	// granularity; 0 picks DefaultFleetChunk. Any value produces the same
-	// job results (the merge is a counter sum); smaller chunks spread
-	// better, larger ones amortize HTTP round trips.
+	// FleetChunk is the trials-per-chunk decomposition granularity of
+	// single and coordinator nodes alike; 0 picks DefaultFleetChunk. Any
+	// value produces the same job results (the merge is a counter sum);
+	// smaller chunks spread better and stream progress more often, larger
+	// ones amortize HTTP round trips.
 	FleetChunk int
 	// LeaseTTL is how long a claimed chunk stays leased without a
 	// heartbeat before the coordinator re-issues it to another claimant;
@@ -233,7 +155,7 @@ type Scheduler struct {
 	version string
 	cache   *Cache
 	disk    *diskcache.Store // nil without Config.CacheDir
-	fleet   *fleet           // nil unless Config.Role is RoleCoordinator
+	fleet   *fleet           // the chunk queue; nil on a worker node
 	arenas  *engine.ArenaPool
 
 	baseCtx    context.Context
@@ -241,11 +163,9 @@ type Scheduler struct {
 	sem        chan struct{}
 	wg         sync.WaitGroup
 
-	mu           sync.Mutex
-	jobs         map[string]*Job
-	certs        map[string]*CertJob
-	retired      []*Job     // failed/canceled records, oldest first, capped at retiredCap
-	retiredCerts []*CertJob // same, for certification jobs
+	mu      sync.Mutex
+	entries map[string]record // jobs and certification sweeps by content address
+	retired []record          // failed/canceled records, oldest first, capped at retiredCap
 
 	retiredCap int
 
@@ -291,8 +211,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, cfg.Parallel),
-		jobs:       make(map[string]*Job),
-		certs:      make(map[string]*CertJob),
+		entries:    make(map[string]record),
 		retiredCap: retiredCap,
 		start:      time.Now(),
 	}
@@ -306,11 +225,11 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		s.disk = disk
 	}
 	switch cfg.Role {
-	case "", RoleSingle, RoleWorker:
-		// A worker's claim loop lives at the Server layer (it speaks
-		// HTTP); the scheduler itself runs nothing fleet-specific.
-	case RoleCoordinator:
+	case "", RoleSingle, RoleCoordinator:
 		s.fleet = newFleet(s)
+	case RoleWorker:
+		// A worker owns no jobs; its claim loop lives at the Server layer
+		// (it speaks HTTP).
 	default:
 		cancel()
 		return nil, fmt.Errorf("service: unknown role %q (want %s, %s, or %s)",
@@ -321,9 +240,9 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 
 // cachePut stores finished result bytes in both tiers and drops the job
 // records of any entries the memory insert evicted, so the cache and the
-// job maps cannot disagree about what is replayable. Trial jobs and
-// certificates share one cache — their content addresses live in disjoint
-// key spaces — so one sweep covers both maps. The eviction keys come back
+// job table cannot disagree about what is replayable. Trial jobs and
+// certificates share one cache and one table — their content addresses
+// live in disjoint key spaces. The eviction keys come back
 // as a return value from Cache.Put and are applied here under s.mu: no
 // scheduler state is ever touched under the cache's internal lock, so the
 // two locks can never deadlock against each other.
@@ -345,8 +264,7 @@ func (s *Scheduler) cachePut(key string, b []byte) {
 // bookkeeping. Callers hold s.mu.
 func (s *Scheduler) memPutLocked(key string, b []byte) {
 	for _, old := range s.cache.Put(key, b) {
-		delete(s.jobs, old)
-		delete(s.certs, old)
+		delete(s.entries, old)
 	}
 }
 
@@ -386,72 +304,12 @@ func (s *Scheduler) Version() string { return s.version }
 // feasibility (coalition sizes) is still a run-time concern: those
 // failures surface as a failed job, not a rejected batch.
 func (s *Scheduler) Submit(reqs []JobRequest) ([]*Job, error) {
-	if len(reqs) == 0 {
-		return nil, errors.New("service: empty batch")
-	}
-	// Validate every request before creating any job.
-	scs := make([]scenario.Scenario, len(reqs))
-	for i, req := range reqs {
-		sc, ok := scenario.Find(req.Scenario)
-		if !ok {
-			return nil, fmt.Errorf("service: job %d: no registered scenario %q", i, req.Scenario)
-		}
+	return submitBatch(s, "job", reqs, func(sc scenario.Scenario, req JobRequest) (string, func(*Job) (any, error), error) {
 		if err := s.validate(sc, req); err != nil {
-			return nil, fmt.Errorf("service: job %d: %w", i, err)
+			return "", nil, err
 		}
-		scs[i] = sc
-	}
-	out := make([]*Job, len(reqs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.baseCtx.Err() != nil {
-		return nil, errors.New("service: scheduler is closed")
-	}
-	for i, req := range reqs {
-		s.submitted.Add(1)
-		id := scs[i].JobKey(s.version, req.Seed, req.opts())
-		if j, ok := s.jobs[id]; ok {
-			st := func() JobStatus { j.mu.Lock(); defer j.mu.Unlock(); return j.status }()
-			switch {
-			case st == StatusDone:
-				s.hitsCache.Add(1)
-				out[i] = j
-				continue
-			case !st.Terminal():
-				s.hitsDedup.Add(1)
-				j.mu.Lock()
-				j.deduped++
-				j.mu.Unlock()
-				out[i] = j
-				continue
-			}
-			// Failed or canceled: fall through and schedule a fresh run
-			// under the same identity.
-		}
-		if b, ok := s.cacheGetLocked(id); ok {
-			j := s.newJob(id, req)
-			j.cached = true
-			j.status = StatusDone
-			j.result = b
-			close(j.done)
-			j.cancel() // born terminal: release the context immediately
-			s.jobs[id] = j
-			s.hitsCache.Add(1)
-			out[i] = j
-			continue
-		}
-		j := s.newJob(id, req)
-		s.jobs[id] = j
-		s.runsFresh.Add(1)
-		s.wg.Add(1)
-		if s.fleet != nil && scs[i].Distributable() {
-			go s.runFleet(j, scs[i])
-		} else {
-			go s.run(j, scs[i])
-		}
-		out[i] = j
-	}
-	return out, nil
+		return sc.JobKey(s.version, req.Seed, req.opts()), func(j *Job) (any, error) { return s.runTrials(j, sc) }, nil
+	})
 }
 
 // validate applies the submit-time checks that make batch rejection whole:
@@ -479,98 +337,39 @@ func (s *Scheduler) validate(sc scenario.Scenario, req JobRequest) error {
 	return nil
 }
 
-// retire records a failed or canceled job in the bounded terminal list;
-// beyond the cap the oldest retired record is dropped from the jobs map
-// (unless a fresh run has already replaced it under the same identity).
-// Done jobs are instead governed by the cache's eviction hook.
-func (s *Scheduler) retire(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retired = append(s.retired, j)
-	for len(s.retired) > s.retiredCap {
-		old := s.retired[0]
-		s.retired[0] = nil
-		s.retired = s.retired[1:]
-		if cur, ok := s.jobs[old.ID]; ok && cur == old {
-			delete(s.jobs, old.ID)
-		}
-	}
-}
-
-// newJob builds a queued job wired to the scheduler's lifetime.
-func (s *Scheduler) newJob(id string, req JobRequest) *Job {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	return &Job{
-		ID:     id,
-		Req:    req,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		status: StatusQueued,
-	}
-}
-
-// run executes one job on the engine, respecting the Parallel bound.
-func (s *Scheduler) run(j *Job, sc scenario.Scenario) {
-	defer s.wg.Done()
-	defer j.cancel() // release the context once the job is terminal
+// runTrials executes one trial job. Its chunks join the node's chunk queue
+// at once, so a coordinator's remote workers can lease them even while
+// the job waits for a Parallel slot. With a slot, the job's one local
+// runner drains the chunks nobody else has claimed, one at a time; the
+// chunk-order merge then summarizes exactly as a whole-batch run would.
+func (s *Scheduler) runTrials(j *Job, sc scenario.Scenario) (any, error) {
+	opts := j.Req.opts()
+	t := s.fleet.enqueue(j, sc, opts)
 	select {
 	case s.sem <- struct{}{}:
+		j.setStatus(StatusRunning)
+		s.fleet.drain(t)
+		<-s.sem
+	case <-t.done: // remote claimants ran every chunk
 	case <-j.ctx.Done():
-		// Canceled (or scheduler closed) while still queued.
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, context.Cause(j.ctx).Error())
-		s.retire(j)
-		return
 	}
-	defer func() { <-s.sem }()
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.mu.Unlock()
-
-	opts := j.Req.opts()
-	opts.Workers = s.cfg.Workers
-	opts.Arenas = s.arenas
-	opts.Progress = func(snap scenario.Snapshot) {
-		j.mu.Lock()
-		j.snap, j.hasSnap = snap, true
-		delta := snap.Done - j.lastDone
-		j.lastDone = snap.Done
-		j.mu.Unlock()
-		s.trialsDone.Add(int64(delta))
+	if j.ctx.Err() != nil {
+		s.fleet.abort(t)
+		return nil, context.Cause(j.ctx)
 	}
-	out, err := sc.RunOpts(j.ctx, j.Req.Seed, opts)
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || j.ctx.Err() != nil):
-		s.canceled.Add(1)
-		j.finish(StatusCanceled, nil, err.Error())
-		s.retire(j)
-	case err != nil:
-		s.failed.Add(1)
-		j.finish(StatusFailed, nil, err.Error())
-		s.retire(j)
-	default:
-		b, merr := json.Marshal(out)
-		if merr != nil {
-			s.failed.Add(1)
-			j.finish(StatusFailed, nil, merr.Error())
-			s.retire(j)
-			return
-		}
-		s.cachePut(j.ID, b)
-		s.completed.Add(1)
-		j.finish(StatusDone, b, "")
+	// t.done is closed: the merge is final and t.err set if it failed.
+	if t.err != nil {
+		return nil, t.err
 	}
+	s.fleet.publish(j, scenario.NewSnapshot(t.merged, t.total, t.total))
+	return sc.OutcomeFromDist(t.merged, opts), nil
 }
 
 // Job returns the job with the given content address.
 func (s *Scheduler) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.entries[id].(*Job)
 	return j, ok
 }
 
@@ -583,20 +382,8 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 // result. That is deliberate — the job's identity, not its first
 // submitter, owns the computation.
 func (s *Scheduler) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	terminal := j.status.Terminal()
-	j.mu.Unlock()
-	if terminal {
-		return false
-	}
-	j.cancel()
-	return true
+	j, ok := s.Job(id)
+	return ok && j.stop()
 }
 
 // Close cancels every in-flight job and waits for their goroutines. The
@@ -655,10 +442,10 @@ type Stats struct {
 		Errors  int64 `json:"errors"`
 	} `json:"disk"`
 	// Fleet reports the node's role and chunk-exchange counters. On a
-	// coordinator, the chunk fields cover the lease lifecycle (queued and
-	// leased are instantaneous, the rest cumulative); on a worker, the
-	// claimed/done/errors counters cover its claim loop. A single node
-	// reports only its role.
+	// single or coordinator node, the chunk fields cover the chunk queue
+	// (queued and leased are instantaneous, the rest cumulative; only a
+	// coordinator leases or re-issues); on a worker, the
+	// claimed/done/errors counters cover its claim loop.
 	Fleet struct {
 		Role            string `json:"role"`
 		ChunkTrials     int    `json:"chunk_trials,omitempty"`
@@ -728,7 +515,9 @@ func (s *Scheduler) Stats() Stats {
 		st.Fleet.ChunkTrials = f.chunkSize
 		st.Fleet.LeaseTTLMillis = f.ttl.Milliseconds()
 		f.mu.Lock()
-		st.Fleet.ChunksQueued = len(f.queue)
+		for _, t := range f.tasks {
+			st.Fleet.ChunksQueued += len(t.queue)
+		}
 		st.Fleet.ChunksLeased = len(f.leased)
 		f.mu.Unlock()
 		st.Fleet.ChunksEnqueued = f.enqueued.Load()

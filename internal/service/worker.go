@@ -6,25 +6,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptrace"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// workerPollInterval is how long an idle worker waits between claim
-// attempts when the coordinator has no queued chunks.
-const workerPollInterval = 150 * time.Millisecond
-
 // workerRetryInterval is the back-off after a claim transport error or a
 // version mismatch; both are conditions that need operator time, not a
 // hot retry loop.
 const workerRetryInterval = time.Second
 
-// Worker is a fleet worker node's claim loop: it polls its coordinator
-// for chunk leases, runs each leased trial range through the exact
-// deterministic shard path a local run uses, heartbeats while running,
+// workerClientTimeout bounds every request a worker makes; the
+// coordinator's long-poll claim hold stays well under it.
+const workerClientTimeout = 30 * time.Second
+
+// Worker is a fleet worker node's claim loop: it long-polls its
+// coordinator for chunk leases, runs each leased trial range through the
+// exact deterministic shard path a local run uses, heartbeats while running,
 // and reports the shard distribution back. Workers hold no job state —
 // if one dies, its leases expire and the coordinator re-issues the chunks.
 type Worker struct {
@@ -39,18 +41,24 @@ type Worker struct {
 }
 
 // newWorker wires a claim loop to the scheduler's lifetime and starts
-// cfg.Parallel claimant goroutines.
+// cfg.Parallel claimant goroutines. It returns once each claimant's first
+// claim is on the wire (or has failed), so work the coordinator queues
+// after New returns finds this worker's claims already waiting for it.
 func newWorker(s *Scheduler) *Worker {
 	host, _ := os.Hostname()
 	w := &Worker{
 		s:      s,
 		join:   s.cfg.Join,
 		node:   fmt.Sprintf("%s-%d", host, os.Getpid()),
-		client: &http.Client{Timeout: 30 * time.Second},
+		client: &http.Client{Timeout: workerClientTimeout},
 	}
+	attached := make(chan struct{}, s.cfg.Parallel)
 	for i := 0; i < s.cfg.Parallel; i++ {
 		s.wg.Add(1)
-		go w.loop()
+		go w.loop(attached)
+	}
+	for i := 0; i < s.cfg.Parallel; i++ {
+		<-attached
 	}
 	return w
 }
@@ -60,23 +68,31 @@ func (w *Worker) Counters() (claimed, done, errs int64) {
 	return w.claimed.Load(), w.done.Load(), w.errs.Load()
 }
 
-// loop is one claimant: claim, run, report, forever. It exits when the
+// loop is one claimant: claim, run, report, forever. It signals attached
+// once its first claim has been written or has failed, and exits when the
 // scheduler closes.
-func (w *Worker) loop() {
+func (w *Worker) loop(attached chan<- struct{}) {
 	defer w.s.wg.Done()
+	var once sync.Once
+	signal := func() { once.Do(func() { attached <- struct{}{} }) }
+	defer signal()
 	ctx := w.s.baseCtx
+	claimCtx := httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { signal() },
+	})
 	for ctx.Err() == nil {
-		lease, retryIn, err := w.claim(ctx)
+		lease, err := w.claim(claimCtx)
+		signal()
 		switch {
 		case err != nil:
 			w.errs.Add(1)
-			sleepCtx(ctx, retryIn)
-		case lease == nil:
-			sleepCtx(ctx, retryIn)
-		default:
+			sleepCtx(ctx, workerRetryInterval)
+		case lease != nil:
 			w.claimed.Add(1)
 			w.runLease(ctx, lease)
 		}
+		// No lease and no error: the coordinator held the claim open for
+		// its whole long-poll without work arriving; claim again.
 	}
 }
 
@@ -90,29 +106,30 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// claim asks the coordinator for one chunk. It returns (nil, wait, nil)
-// when no work is queued and (nil, wait, err) on transport errors or a
-// version mismatch, with wait the appropriate re-poll delay.
-func (w *Worker) claim(ctx context.Context) (*ChunkLease, time.Duration, error) {
+// claim asks the coordinator for one chunk, which holds the request open
+// until work arrives or its long-poll ends. It returns (nil, nil) when the
+// hold ended without work and an error on transport failures or a
+// version mismatch.
+func (w *Worker) claim(ctx context.Context) (*ChunkLease, error) {
 	body, _ := json.Marshal(ClaimRequest{Version: w.s.version, Node: w.node})
 	resp, err := w.post(ctx, "/chunks/claim", body)
 	if err != nil {
-		return nil, workerRetryInterval, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNoContent:
-		return nil, workerPollInterval, nil
+		return nil, nil
 	case http.StatusConflict:
-		return nil, workerRetryInterval, fmt.Errorf("service: version mismatch with coordinator %s", w.join)
+		return nil, fmt.Errorf("service: version mismatch with coordinator %s", w.join)
 	case http.StatusOK:
 		var lease ChunkLease
 		if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-			return nil, workerRetryInterval, fmt.Errorf("service: bad lease: %w", err)
+			return nil, fmt.Errorf("service: bad lease: %w", err)
 		}
-		return &lease, 0, nil
+		return &lease, nil
 	default:
-		return nil, workerRetryInterval, fmt.Errorf("service: claim: coordinator returned %s", resp.Status)
+		return nil, fmt.Errorf("service: claim: coordinator returned %s", resp.Status)
 	}
 }
 

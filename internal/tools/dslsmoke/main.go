@@ -14,16 +14,13 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"time"
 
 	"repro/internal/equilibrium"
@@ -31,6 +28,7 @@ import (
 	"repro/internal/mardsl/marlib"
 	"repro/internal/scenario"
 	"repro/internal/service"
+	"repro/internal/tools/daemon"
 )
 
 func main() {
@@ -81,11 +79,16 @@ func run(args []string) error {
 		return fmt.Errorf("generated specs registered %d scenarios, want 4 (3 honest + 1 attack): %v", len(names), names)
 	}
 
-	addr, stop, err := startDaemon(ctx, *bin, files)
+	daemonArgs := []string{"-parallel", "1"}
+	for _, f := range files {
+		daemonArgs = append(daemonArgs, "-mar", f)
+	}
+	d, err := daemon.Start(ctx, *bin, daemonArgs...)
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer d.Stop()
+	addr := d.Addr
 
 	client := service.NewClient("http://" + addr)
 	if err := client.Health(ctx); err != nil {
@@ -170,49 +173,4 @@ func run(args []string) error {
 	fmt.Printf("dslsmoke: %d generated scenarios served byte-identically, %s certified %s\n",
 		len(names), attack, cert.Verdict)
 	return nil
-}
-
-// startDaemon launches the fleserve binary on an ephemeral port with the
-// spec files on its -mar flag and returns its resolved address plus a stop
-// function that terminates it.
-func startDaemon(ctx context.Context, bin string, marFiles []string) (addr string, stop func(), err error) {
-	args := []string{"-addr", "127.0.0.1:0", "-parallel", "1"}
-	for _, f := range marFiles {
-		args = append(args, "-mar", f)
-	}
-	cmd := exec.CommandContext(ctx, bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	stop = func() {
-		_ = cmd.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { _ = cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = cmd.Process.Kill()
-			<-done
-		}
-	}
-	re := regexp.MustCompile(`listening on (\S+)`)
-	scan := bufio.NewScanner(out)
-	for scan.Scan() {
-		if m := re.FindStringSubmatch(scan.Text()); m != nil {
-			// Keep draining stdout so the daemon never blocks on a full
-			// pipe.
-			go func() {
-				for scan.Scan() {
-				}
-			}()
-			return m[1], stop, nil
-		}
-	}
-	stop()
-	return "", nil, fmt.Errorf("%s exited without a listening line", bin)
 }

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -25,7 +24,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"time"
 
 	// Imported for its registrations: the in-process registry must
@@ -33,6 +31,7 @@ import (
 	_ "repro/internal/mardsl/marlib"
 	"repro/internal/scenario"
 	"repro/internal/service"
+	"repro/internal/tools/daemon"
 )
 
 func main() {
@@ -80,26 +79,26 @@ func run(args []string) error {
 
 	// Node 1: the coordinator. Short leases so the worker-kill recovery
 	// happens within the smoke budget; small chunks so the job spreads.
-	coord, err := startNode(ctx, *bin,
+	coord, err := daemon.Start(ctx, *bin,
 		"-role", "coordinator", "-cache-dir", cacheDir,
 		"-fleet-chunk", "1000", "-lease", "1s", "-parallel", "1")
 	if err != nil {
 		return err
 	}
-	defer coord.stop()
-	url := "http://" + coord.addr
+	defer coord.Stop()
+	url := "http://" + coord.Addr
 
 	// Nodes 2 and 3: workers claiming from the coordinator.
-	w1, err := startNode(ctx, *bin, "-role", "worker", "-join", url, "-parallel", "2")
+	w1, err := daemon.Start(ctx, *bin, "-role", "worker", "-join", url, "-parallel", "2")
 	if err != nil {
 		return err
 	}
-	defer w1.stop()
-	w2, err := startNode(ctx, *bin, "-role", "worker", "-join", url, "-parallel", "2")
+	defer w1.Stop()
+	w2, err := daemon.Start(ctx, *bin, "-role", "worker", "-join", url, "-parallel", "2")
 	if err != nil {
 		return err
 	}
-	defer w2.stop()
+	defer w2.Stop()
 
 	client := service.NewClient(url)
 	if err := client.Health(ctx); err != nil {
@@ -113,7 +112,7 @@ func run(args []string) error {
 	}
 	// Let the fleet sink its teeth in, then kill worker 2 without ceremony.
 	time.Sleep(1500 * time.Millisecond)
-	w2.kill()
+	w2.Kill()
 	fmt.Println("fleetsmoke: killed worker 2 mid-run")
 
 	final, err := client.Wait(ctx, states[0].ID)
@@ -169,15 +168,15 @@ func run(args []string) error {
 	// Phase 3: coordinator restart. Same cache directory, fresh process —
 	// every already-computed identity must replay from disk with zero
 	// engine runs.
-	coord.stop()
-	coord2, err := startNode(ctx, *bin,
+	coord.Stop()
+	coord2, err := daemon.Start(ctx, *bin,
 		"-role", "coordinator", "-cache-dir", cacheDir,
 		"-fleet-chunk", "1000", "-parallel", "1")
 	if err != nil {
 		return fmt.Errorf("restart coordinator: %w", err)
 	}
-	defer coord2.stop()
-	client2 := service.NewClient("http://" + coord2.addr)
+	defer coord2.Stop()
+	client2 := service.NewClient("http://" + coord2.Addr)
 
 	replay, err := client2.Submit(ctx, []service.JobRequest{bigJob})
 	if err != nil {
@@ -201,63 +200,4 @@ func run(args []string) error {
 	}
 	fmt.Printf("fleetsmoke: coordinator restart replayed from disk (%d disk hits, 0 engine runs)\n", st2.Disk.Hits)
 	return nil
-}
-
-// node is one running fleserve process.
-type node struct {
-	cmd  *exec.Cmd
-	addr string
-}
-
-// stop terminates the node gracefully (SIGINT, then kill after a grace).
-func (n *node) stop() {
-	if n.cmd.Process == nil {
-		return
-	}
-	_ = n.cmd.Process.Signal(os.Interrupt)
-	done := make(chan struct{})
-	go func() { _ = n.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		_ = n.cmd.Process.Kill()
-		<-done
-	}
-}
-
-// kill terminates the node abruptly — the crash case under test.
-func (n *node) kill() {
-	_ = n.cmd.Process.Kill()
-	_ = n.cmd.Wait()
-}
-
-// startNode launches one fleserve process on an ephemeral port and waits
-// for its listening line.
-func startNode(ctx context.Context, bin string, extra ...string) (*node, error) {
-	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	cmd := exec.CommandContext(ctx, bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s %v: %w", bin, extra, err)
-	}
-	n := &node{cmd: cmd}
-	re := regexp.MustCompile(`listening on (\S+)`)
-	scan := bufio.NewScanner(out)
-	for scan.Scan() {
-		if m := re.FindStringSubmatch(scan.Text()); m != nil {
-			n.addr = m[1]
-			// Keep draining stdout so the daemon never blocks on a full pipe.
-			go func() {
-				for scan.Scan() {
-				}
-			}()
-			return n, nil
-		}
-	}
-	n.stop()
-	return nil, fmt.Errorf("%s %v exited without a listening line", bin, extra)
 }

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"flag"
@@ -18,12 +17,11 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/tools/daemon"
 )
 
 func main() {
@@ -45,11 +43,12 @@ func run(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	addr, stop, err := startDaemon(ctx, *bin)
+	d, err := daemon.Start(ctx, *bin, "-parallel", "2", "-pprof")
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer d.Stop()
+	addr := d.Addr
 
 	client := service.NewClient("http://" + addr)
 	if err := client.Health(ctx); err != nil {
@@ -113,42 +112,4 @@ func run(args []string) error {
 	fmt.Printf("profcapture: wrote %d-second CPU profile (%d bytes) to %s\n", *seconds, len(profile), *out)
 	fmt.Printf("profcapture: inspect with: go tool pprof %s\n", *out)
 	return nil
-}
-
-// startDaemon launches the fleserve binary with profiling enabled on an
-// ephemeral port and returns its resolved address plus a stop function.
-func startDaemon(ctx context.Context, bin string) (addr string, stop func(), err error) {
-	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-parallel", "2", "-pprof")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	stop = func() {
-		_ = cmd.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { _ = cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = cmd.Process.Kill()
-			<-done
-		}
-	}
-	re := regexp.MustCompile(`listening on (\S+)`)
-	scan := bufio.NewScanner(out)
-	for scan.Scan() {
-		if m := re.FindStringSubmatch(scan.Text()); m != nil {
-			go func() {
-				for scan.Scan() {
-				}
-			}()
-			return m[1], stop, nil
-		}
-	}
-	stop()
-	return "", nil, fmt.Errorf("%s exited without a listening line", bin)
 }
