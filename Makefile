@@ -19,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/
+	$(GO) test -race ./internal/engine/ ./internal/ring/ ./internal/cointoss/ ./internal/scenario/ ./internal/service/ ./internal/popproto/ ./internal/mardsl/... ./internal/shamir/ ./internal/fullnet/
 
 # docs-check is the documentation floor: vet must be clean, every package
 # (internal/, cmd/, examples/ and the root) must carry a package doc

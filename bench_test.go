@@ -27,6 +27,7 @@ import (
 	"repro/internal/protocols/phaselead"
 	"repro/internal/randfunc"
 	"repro/internal/ring"
+	"repro/internal/scenario"
 	"repro/internal/shamir"
 	"repro/internal/sim"
 	"repro/internal/simgraph"
@@ -230,6 +231,17 @@ func BenchmarkCommittee50k(b *testing.B) {
 
 func BenchmarkBasicLeadHonest(b *testing.B) {
 	benchProtocol(b, basiclead.New(), []int{64, 256, 1024})
+}
+
+// BenchmarkMARBasicLeadHonest is BenchmarkBasicLeadHonest for the MAR
+// spec'd twin of Basic-LEAD: the gap between the two is the cost of
+// running a compiled spec instead of native Go.
+func BenchmarkMARBasicLeadHonest(b *testing.B) {
+	proto, ok := scenario.FindRingProtocol("mar-basic-lead")
+	if !ok {
+		b.Fatal("mar-basic-lead is not registered")
+	}
+	benchProtocol(b, proto, []int{64, 256, 1024})
 }
 
 func BenchmarkALeadHonest(b *testing.B) {

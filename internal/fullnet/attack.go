@@ -45,6 +45,7 @@ type closerAdversary struct {
 
 	pool        map[int64]map[int64]int64 // owner → holder → share value
 	distributed bool
+	shares      []shamir.Share // tryCommit's scratch, recycled across owners and trials
 }
 
 var _ sim.Strategy = (*closerAdversary)(nil)
@@ -105,13 +106,14 @@ func (c *closerAdversary) tryCommit(ctx *sim.Context) {
 	}
 	var honestSum int64
 	for o := 1; o <= c.honestCount; o++ {
-		shares := make([]shamir.Share, 0, c.t)
+		shares := c.shares[:0]
 		for holder, value := range c.pool[int64(o)] {
 			shares = append(shares, shamir.Share{X: holder, Value: value})
 			if len(shares) == c.t {
 				break
 			}
 		}
+		c.shares = shares
 		secret, err := shamir.Reconstruct(shares)
 		if err != nil {
 			ctx.Abort()

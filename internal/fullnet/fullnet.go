@@ -50,7 +50,8 @@ func unpack(m int64) (kind, owner, value int64) {
 type Election struct {
 	n     int
 	t     int
-	edges []sim.Edge // the n·(n−1) directed links of K_n, built once
+	edges []sim.Edge    // the n·(n−1) directed links of K_n, built once
+	basis *shamir.Basis // interpolation for points 1..n, threshold t
 }
 
 // New builds an election for n processors; threshold 0 picks ⌈n/2⌉.
@@ -77,7 +78,13 @@ func New(n, threshold int) (*Election, error) {
 			}
 		}
 	}
-	return &Election{n: n, t: threshold, edges: edges}, nil
+	// The interpolation constants depend only on (n, t): every participant
+	// of every run and runner reads the same basis.
+	basis, err := shamir.NewBasis(n, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return &Election{n: n, t: threshold, edges: edges, basis: basis}, nil
 }
 
 // Threshold returns the reconstruction threshold t.
@@ -92,9 +99,7 @@ func (e *Election) Run(seed int64, sched sim.Scheduler) (sim.Result, error) {
 // to fresh allocations with an identical result).
 func (e *Election) RunArena(seed int64, sched sim.Scheduler, arena *sim.Arena) (sim.Result, error) {
 	strategies := arena.Strategies(e.n)
-	for i := 1; i <= e.n; i++ {
-		strategies[i-1] = &participant{n: e.n, t: e.t, id: i}
-	}
+	e.honest(strategies)
 	return e.execute(strategies, seed, sched, arena)
 }
 
@@ -109,35 +114,9 @@ func (e *Election) RunAttack(k int, target int64, seed int64, sched sim.Schedule
 // RunAttackArena is RunAttack on a recycled per-worker simulation arena
 // (nil falls back to fresh allocations with an identical result).
 func (e *Election) RunAttackArena(k int, target int64, seed int64, sched sim.Scheduler, arena *sim.Arena) (sim.Result, error) {
-	if target < 1 || target > int64(e.n) {
-		return sim.Result{}, fmt.Errorf("fullnet: target %d out of range [1,%d]", target, e.n)
-	}
-	if k < e.t {
-		return sim.Result{}, fmt.Errorf(
-			"fullnet: coalition of %d holds fewer than t=%d shares per honest secret; early reconstruction impossible (resilient regime)",
-			k, e.t)
-	}
-	if k >= e.n {
-		return sim.Result{}, errors.New("fullnet: coalition covers the whole network")
-	}
-	closer := e.n // the last member commits last
 	strategies := arena.Strategies(e.n)
-	for i := 1; i <= e.n-k; i++ {
-		strategies[i-1] = &participant{n: e.n, t: e.t, id: i}
-	}
-	for i := e.n - k + 1; i <= e.n; i++ {
-		if i == closer {
-			strategies[i-1] = &closerAdversary{
-				participant: participant{n: e.n, t: e.t, id: i},
-				honestCount: e.n - k,
-				targetSum:   ring.SumForLeader(target, e.n),
-			}
-		} else {
-			strategies[i-1] = &droneAdversary{
-				participant: participant{n: e.n, t: e.t, id: i},
-				closer:      sim.ProcID(closer),
-			}
-		}
+	if err := e.coalition(k, target, strategies); err != nil {
+		return sim.Result{}, err
 	}
 	return e.execute(strategies, seed, sched, arena)
 }
@@ -156,44 +135,16 @@ type Runner struct {
 // Runner returns a reusable runner for honest elections.
 func (e *Election) Runner() *Runner {
 	strategies := make([]sim.Strategy, e.n)
-	for i := 1; i <= e.n; i++ {
-		strategies[i-1] = &participant{n: e.n, t: e.t, id: i}
-	}
+	e.honest(strategies)
 	return &Runner{e: e, strategies: strategies}
 }
 
 // AttackRunner returns a reusable runner for coalition elections, validating
 // the configuration once with RunAttackArena's exact checks and errors.
 func (e *Election) AttackRunner(k int, target int64) (*Runner, error) {
-	if target < 1 || target > int64(e.n) {
-		return nil, fmt.Errorf("fullnet: target %d out of range [1,%d]", target, e.n)
-	}
-	if k < e.t {
-		return nil, fmt.Errorf(
-			"fullnet: coalition of %d holds fewer than t=%d shares per honest secret; early reconstruction impossible (resilient regime)",
-			k, e.t)
-	}
-	if k >= e.n {
-		return nil, errors.New("fullnet: coalition covers the whole network")
-	}
-	closer := e.n
 	strategies := make([]sim.Strategy, e.n)
-	for i := 1; i <= e.n-k; i++ {
-		strategies[i-1] = &participant{n: e.n, t: e.t, id: i}
-	}
-	for i := e.n - k + 1; i <= e.n; i++ {
-		if i == closer {
-			strategies[i-1] = &closerAdversary{
-				participant: participant{n: e.n, t: e.t, id: i},
-				honestCount: e.n - k,
-				targetSum:   ring.SumForLeader(target, e.n),
-			}
-		} else {
-			strategies[i-1] = &droneAdversary{
-				participant: participant{n: e.n, t: e.t, id: i},
-				closer:      sim.ProcID(closer),
-			}
-		}
+	if err := e.coalition(k, target, strategies); err != nil {
+		return nil, err
 	}
 	return &Runner{e: e, strategies: strategies}, nil
 }
@@ -201,6 +152,49 @@ func (e *Election) AttackRunner(k int, target int64) (*Runner, error) {
 // Run executes one election on the runner's strategy vector.
 func (r *Runner) Run(seed int64, sched sim.Scheduler, arena *sim.Arena) (sim.Result, error) {
 	return r.e.execute(r.strategies, seed, sched, arena)
+}
+
+// participant returns a fresh honest participant at position id.
+func (e *Election) participant(id int) participant {
+	return participant{n: e.n, t: e.t, id: id, basis: e.basis}
+}
+
+// honest fills strategies with honest participants at positions
+// 1..len(strategies), carved from one array.
+func (e *Election) honest(strategies []sim.Strategy) {
+	ps := make([]participant, len(strategies))
+	for i := range strategies {
+		ps[i] = e.participant(i + 1)
+		strategies[i] = &ps[i]
+	}
+}
+
+// coalition fills strategies with honest participants and a coalition of
+// size k in the last k positions steering toward target, or explains why
+// the configuration is infeasible.
+func (e *Election) coalition(k int, target int64, strategies []sim.Strategy) error {
+	if target < 1 || target > int64(e.n) {
+		return fmt.Errorf("fullnet: target %d out of range [1,%d]", target, e.n)
+	}
+	if k < e.t {
+		return fmt.Errorf(
+			"fullnet: coalition of %d holds fewer than t=%d shares per honest secret; early reconstruction impossible (resilient regime)",
+			k, e.t)
+	}
+	if k >= e.n {
+		return errors.New("fullnet: coalition covers the whole network")
+	}
+	e.honest(strategies[:e.n-k])
+	closer := e.n // the last member commits last
+	for i := e.n - k + 1; i < closer; i++ {
+		strategies[i-1] = &droneAdversary{participant: e.participant(i), closer: sim.ProcID(closer)}
+	}
+	strategies[closer-1] = &closerAdversary{
+		participant: e.participant(closer),
+		honestCount: e.n - k,
+		targetSum:   ring.SumForLeader(target, e.n),
+	}
+	return nil
 }
 
 func (e *Election) execute(strategies []sim.Strategy, seed int64, sched sim.Scheduler, arena *sim.Arena) (sim.Result, error) {
@@ -216,6 +210,7 @@ func (e *Election) execute(strategies []sim.Strategy, seed int64, sched sim.Sche
 // participant is the honest strategy.
 type participant struct {
 	n, t, id int
+	basis    *shamir.Basis // shared, read-only
 
 	secret    int64
 	myShares  []int64 // by owner: the share this processor holds
@@ -328,20 +323,12 @@ func (p *participant) finish(ctx *sim.Context) {
 	p.done = true
 	var sum int64
 	for o := 1; o <= p.n; o++ {
-		shares := make([]shamir.Share, p.n)
-		for h := 1; h <= p.n; h++ {
-			shares[h-1] = shamir.Share{X: int64(h), Value: p.reveals[o][h]}
-		}
-		ok, err := shamir.Consistent(shares, p.t)
-		if err != nil || !ok {
+		row := p.reveals[o][1:] // row[h-1] is holder h's share of owner o
+		if !p.basis.Consistent(row) {
 			ctx.Abort() // owner o distributed an invalid sharing
 			return
 		}
-		secret, err := shamir.Reconstruct(shares[:p.t])
-		if err != nil {
-			ctx.Abort()
-			return
-		}
+		secret := p.basis.Secret(row)
 		if o == p.id && secret != p.secret {
 			ctx.Abort() // our own secret was corrupted in flight
 			return

@@ -1,6 +1,8 @@
 package fullnet
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/shamir"
@@ -126,10 +128,8 @@ func TestTamperedShareAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	strategies := make([]sim.Strategy, n)
-	for i := 1; i <= n; i++ {
-		strategies[i-1] = &participant{n: n, t: e.t, id: i}
-	}
-	strategies[3] = &tamperer{participant{n: n, t: e.t, id: 4}}
+	e.honest(strategies)
+	strategies[3] = &tamperer{e.participant(4)}
 	res, err := e.execute(strategies, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -183,5 +183,49 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunnersShareBasis runs runners of one election on several goroutines
+// at once. They share the election's read-only interpolation basis, so
+// every runner reproduces a sequential run trial for trial; under -race
+// the test also checks that nothing writes the shared basis.
+func TestRunnersShareBasis(t *testing.T) {
+	e, err := New(9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, trials = 4, 12
+	want := make([]sim.Result, trials)
+	seq := e.Runner()
+	for i := range want {
+		if want[i], err = seq.Run(int64(i), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, arena := e.Runner(), sim.NewArena()
+			for i := 0; i < trials; i++ {
+				res, err := r.Run(int64(i), nil, arena)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if res.Failed != want[i].Failed || res.Output != want[i].Output || res.Delivered != want[i].Delivered {
+					errs <- fmt.Errorf("trial %d: got %+v, sequential %+v", i, res, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -2,67 +2,74 @@ package mardsl
 
 import "fmt"
 
-// opcode is one stack-machine instruction kind.
-type opcode uint8
-
+// A compiled machine keeps every value it reads in one []int64 frame: the
+// builtins, then the registers, the program's constants, and the scratch
+// slots of its largest guard condition or action. Compile lowers each
+// clause once to one flat instruction list over frame slots: each guard
+// condition computes its two sides and tests them, then each action
+// computes its operands and acts. A leaf operand (register, builtin or
+// literal) is just its slot and costs no instruction, so the guard
+// "received < n" is a single test of two slots.
 const (
-	oConst    opcode = iota // push arg
-	oReg                    // push regs[arg]
-	oN                      // push ring size
-	oSelf                   // push own id
-	oReceived               // push processed-message count
-	oMsg                    // push current payload
-	oTarget                 // push attack target
-	oAdd                    // pop b, a; push a+b
-	oSub                    // pop b, a; push a−b
-	oMul                    // pop b, a; push a·b
-	oMod                    // pop b, a; push a mod b (Euclidean; 0 when b ≤ 0)
-	oNeg                    // negate top
-	oRand                   // top = uniform [0, top) draw; 0 when top ≤ 0
-	oLeader                 // top = LeaderFromSum(top, n)
-	oSumfor                 // top = SumForLeader(top, n)
+	slotN int32 = iota
+	slotSelf
+	slotReceived
+	slotMsg
+	slotTarget
+	numBuiltins
 )
 
-// instr is one compiled instruction.
+// tempSlot marks a scratch slot while Compile lowers the program; the
+// scratch area's base is known only once every constant has its slot, and
+// Compile then relocates the marked slots onto it.
+const tempSlot int32 = 1 << 30
+
+// opcode is one instruction kind.
+type opcode uint8
+
+// The instruction set. The arithmetic instructions, in ExprOp order,
+// compute frame[dst] = frame[a] op frame[b] (the unary ones ignore b). The
+// tests, in CmpOp order, end the clause as unmatched unless
+// frame[a] op frame[b]. The actions, in ActionKind order, do what their
+// action does with operands frame[a] and frame[b].
+const (
+	opAdd opcode = iota
+	opSub
+	opMul
+	opMod // Euclidean; 0 when frame[b] ≤ 0
+	opNeg
+	opRand   // uniform draw from [0, frame[a]); 0 when frame[a] ≤ 0
+	opLeader // ring.LeaderFromSum(frame[a], n)
+	opSumfor // ring.SumForLeader(frame[a], n)
+
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+
+	opSet // frame[dst] = frame[a]
+	opSend
+	opPush
+	opReplay
+	opGoto // state = dst
+	opTerminate
+	opAbort
+)
+
+// instr is one instruction.
 type instr struct {
-	op  opcode
-	arg int64
+	op        opcode
+	dst, a, b int32
 }
 
-// cExpr is a compiled expression in postfix order.
-type cExpr []instr
-
-// cCond is one compiled guard condition.
-type cCond struct {
-	l, r cExpr
-	op   CmpOp
-}
-
-// cAct is one compiled action.
-type cAct struct {
-	kind  ActionKind
-	reg   int // register index of ActSet
-	state int // state index of ActGoto
-	a, b  cExpr
-}
-
-// cClause is one compiled clause.
-type cClause struct {
-	guard []cCond
-	acts  []cAct
-}
-
-// cState is one compiled state.
+// cState is one compiled state: its wake-up clause (start state only) and
+// its receive clauses in source order.
 type cState struct {
-	hasInit bool
-	init    cClause
-	recv    []cClause
+	init []instr
+	recv [][]instr
 }
-
-// maxStack bounds the expression evaluation stack. The parser's nesting
-// limit keeps every parsed expression well under it; Compile re-checks so
-// hand-built specs cannot overflow either.
-const maxStack = 48
 
 // Program is a compiled spec, ready to instantiate machines. Programs are
 // immutable after Compile and safe for concurrent use: every machine owns
@@ -81,7 +88,9 @@ type Program struct {
 	// Uniform marks a protocol whose honest outcome is uniform.
 	Uniform bool
 
-	nregs  int
+	// frame is a machine's frame at wake-up, but for the builtins n, self
+	// and target: zero registers, the constants, zero scratch.
+	frame  []int64
 	states []cState
 }
 
@@ -97,37 +106,45 @@ func Compile(s *Spec) (*Program, error) {
 		Place:    append([]int(nil), s.Place...),
 		Defaults: s.Defaults,
 		Uniform:  s.Uniform,
-		nregs:    len(s.Regs),
 	}
 	if p.Kind == KindAdversary && len(p.Place) == 0 {
 		p.Place = []int{2}
 	}
-	regIdx := map[string]int{}
-	for i, r := range s.Regs {
-		regIdx[r] = i
+	lw := &lowerer{
+		regs:   map[string]int32{},
+		states: map[string]int{},
+		consts: map[int64]int32{},
+		frame:  make([]int64, int(numBuiltins)+len(s.Regs)),
 	}
-	stateIdx := map[string]int{}
+	for i, r := range s.Regs {
+		lw.regs[r] = numBuiltins + int32(i)
+	}
 	for i, st := range s.States {
-		stateIdx[st.Name] = i
+		lw.states[st.Name] = i
 	}
 	p.states = make([]cState, len(s.States))
 	for i, st := range s.States {
 		cs := &p.states[i]
+		var err error
 		if st.Init != nil {
-			cs.hasInit = true
-			cl, err := compileClause(st.Init, regIdx, stateIdx)
-			if err != nil {
+			if cs.init, err = lw.clause(st.Init); err != nil {
 				return nil, err
 			}
-			cs.init = cl
 		}
-		cs.recv = make([]cClause, len(st.Recv))
+		cs.recv = make([][]instr, len(st.Recv))
 		for j, rc := range st.Recv {
-			cl, err := compileClause(rc, regIdx, stateIdx)
-			if err != nil {
+			if cs.recv[j], err = lw.clause(rc); err != nil {
 				return nil, err
 			}
-			cs.recv[j] = cl
+		}
+	}
+	base := int32(len(lw.frame))
+	p.frame = append(lw.frame, make([]int64, lw.maxTemps)...)
+	for i := range p.states {
+		cs := &p.states[i]
+		relocate(cs.init, base)
+		for _, code := range cs.recv {
+			relocate(code, base)
 		}
 	}
 	return p, nil
@@ -142,108 +159,135 @@ func Load(src string) (*Program, error) {
 	return Compile(spec)
 }
 
-// compileClause lowers one clause.
-func compileClause(cl *Clause, regIdx, stateIdx map[string]int) (cClause, error) {
-	out := cClause{acts: make([]cAct, 0, len(cl.Actions))}
-	for _, cond := range cl.Guard {
-		l, err := compileExpr(cond.Left, regIdx, cl.Line)
-		if err != nil {
-			return cClause{}, err
-		}
-		r, err := compileExpr(cond.Right, regIdx, cl.Line)
-		if err != nil {
-			return cClause{}, err
-		}
-		out.guard = append(out.guard, cCond{l: l, r: r, op: cond.Op})
-	}
-	for _, act := range cl.Actions {
-		ca := cAct{kind: act.Kind, reg: regIdx[act.Reg], state: stateIdx[act.State]}
-		var err error
-		if act.A != nil {
-			if ca.a, err = compileExpr(act.A, regIdx, act.Line); err != nil {
-				return cClause{}, err
-			}
-		}
-		if act.B != nil {
-			if ca.b, err = compileExpr(act.B, regIdx, act.Line); err != nil {
-				return cClause{}, err
-			}
-		}
-		out.acts = append(out.acts, ca)
-	}
-	return out, nil
+// lowerer carries the slot assignment through one Compile.
+type lowerer struct {
+	regs   map[string]int32 // register name → frame slot
+	states map[string]int   // state name → index
+	consts map[int64]int32  // literal → frame slot
+	frame  []int64          // the wake-up frame so far: builtins, registers, constants
+	// temps counts the scratch slots of the condition or action being
+	// lowered; maxTemps is the largest such count, the scratch area size.
+	temps, maxTemps int32
 }
 
-// compileExpr lowers one expression to postfix form.
-func compileExpr(e *Expr, regIdx map[string]int, line int) (cExpr, error) {
-	var code cExpr
-	if err := emitExpr(e, regIdx, &code, line); err != nil {
-		return nil, err
+// clause lowers one clause to its instruction list.
+func (lw *lowerer) clause(cl *Clause) ([]instr, error) {
+	var code []instr
+	for _, cond := range cl.Guard {
+		lw.temps = 0
+		l, err := lw.expr(cond.Left, &code, cl.Line)
+		if err != nil {
+			return nil, err
+		}
+		r, err := lw.expr(cond.Right, &code, cl.Line)
+		if err != nil {
+			return nil, err
+		}
+		code = append(code, instr{op: opEq + opcode(cond.Op), a: l, b: r})
 	}
-	if need := stackNeed(code); need > maxStack {
-		return nil, fmt.Errorf("mar: line %d: expression needs %d stack slots, limit %d", line, need, maxStack)
+	for _, ac := range cl.Actions {
+		lw.temps = 0
+		if ac.Kind == ActDrop {
+			continue
+		}
+		in := instr{op: opSet + opcode(ac.Kind)}
+		var err error
+		if ac.A != nil {
+			if in.a, err = lw.expr(ac.A, &code, ac.Line); err != nil {
+				return nil, err
+			}
+		}
+		if ac.B != nil {
+			if in.b, err = lw.expr(ac.B, &code, ac.Line); err != nil {
+				return nil, err
+			}
+		}
+		switch ac.Kind {
+		case ActSet:
+			in.dst = lw.regs[ac.Reg]
+			if in.a >= tempSlot {
+				// The value is a scratch slot, written by the last
+				// instruction: let that write the register instead.
+				code[len(code)-1].dst = in.dst
+				continue
+			}
+		case ActGoto:
+			in.dst = int32(lw.states[ac.State])
+		}
+		code = append(code, in)
 	}
 	return code, nil
 }
 
-// emitExpr appends e's postfix instructions to code.
-func emitExpr(e *Expr, regIdx map[string]int, code *cExpr, line int) error {
+// expr appends the instructions computing e to code, operands in source
+// order, and returns the slot holding e's value. Every operator writes a
+// scratch slot of its own, so no operand is overwritten before its last
+// read.
+func (lw *lowerer) expr(e *Expr, code *[]instr, line int) (int32, error) {
 	switch e.Op {
 	case EConst:
-		*code = append(*code, instr{op: oConst, arg: e.Val})
+		s, ok := lw.consts[e.Val]
+		if !ok {
+			s = int32(len(lw.frame))
+			lw.consts[e.Val] = s
+			lw.frame = append(lw.frame, e.Val)
+		}
+		return s, nil
 	case EIdent:
 		switch e.Ident {
 		case "n":
-			*code = append(*code, instr{op: oN})
+			return slotN, nil
 		case "self":
-			*code = append(*code, instr{op: oSelf})
+			return slotSelf, nil
 		case "received":
-			*code = append(*code, instr{op: oReceived})
+			return slotReceived, nil
 		case "msg":
-			*code = append(*code, instr{op: oMsg})
+			return slotMsg, nil
 		case "target":
-			*code = append(*code, instr{op: oTarget})
-		default:
-			idx, ok := regIdx[e.Ident]
-			if !ok {
-				return fmt.Errorf("mar: line %d: unknown identifier %q", line, e.Ident)
-			}
-			*code = append(*code, instr{op: oReg, arg: int64(idx)})
+			return slotTarget, nil
 		}
+		s, ok := lw.regs[e.Ident]
+		if !ok {
+			return 0, fmt.Errorf("mar: line %d: unknown identifier %q", line, e.Ident)
+		}
+		return s, nil
 	case ENeg, ERand, ELeader, ESumfor:
-		if err := emitExpr(e.L, regIdx, code, line); err != nil {
-			return err
+		a, err := lw.expr(e.L, code, line)
+		if err != nil {
+			return 0, err
 		}
-		op := map[ExprOp]opcode{ENeg: oNeg, ERand: oRand, ELeader: oLeader, ESumfor: oSumfor}[e.Op]
-		*code = append(*code, instr{op: op})
+		return lw.emit(code, instr{op: opAdd + opcode(e.Op-EAdd), a: a}), nil
 	case EAdd, ESub, EMul, EMod:
-		if err := emitExpr(e.L, regIdx, code, line); err != nil {
-			return err
+		a, err := lw.expr(e.L, code, line)
+		if err != nil {
+			return 0, err
 		}
-		if err := emitExpr(e.R, regIdx, code, line); err != nil {
-			return err
+		b, err := lw.expr(e.R, code, line)
+		if err != nil {
+			return 0, err
 		}
-		op := map[ExprOp]opcode{EAdd: oAdd, ESub: oSub, EMul: oMul, EMod: oMod}[e.Op]
-		*code = append(*code, instr{op: op})
-	default:
-		return fmt.Errorf("mar: line %d: bad expression node %d", line, e.Op)
+		return lw.emit(code, instr{op: opAdd + opcode(e.Op-EAdd), a: a, b: b}), nil
 	}
-	return nil
+	return 0, fmt.Errorf("mar: line %d: bad expression node %d", line, e.Op)
 }
 
-// stackNeed simulates the postfix program's stack depth.
-func stackNeed(code cExpr) int {
-	depth, need := 0, 0
-	for _, in := range code {
-		switch in.op {
-		case oConst, oReg, oN, oSelf, oReceived, oMsg, oTarget:
-			depth++
-		case oAdd, oSub, oMul, oMod:
-			depth--
-		}
-		if depth > need {
-			need = depth
+// emit appends in with a fresh scratch destination and returns that slot.
+func (lw *lowerer) emit(code *[]instr, in instr) int32 {
+	in.dst = tempSlot + lw.temps
+	lw.temps++
+	lw.maxTemps = max(lw.maxTemps, lw.temps)
+	*code = append(*code, in)
+	return in.dst
+}
+
+// relocate moves code's scratch slots onto the frame's scratch area, which
+// starts at base.
+func relocate(code []instr, base int32) {
+	for i := range code {
+		for _, s := range []*int32{&code[i].dst, &code[i].a, &code[i].b} {
+			if *s >= tempSlot {
+				*s += base - tempSlot
+			}
 		}
 	}
-	return need
 }

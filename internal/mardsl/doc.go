@@ -1,10 +1,11 @@
 // Package mardsl compiles a compact text format for per-processor state
 // machines — MAR specs — onto the repository's ring simulator. A spec
 // describes one protocol participant (or one adversary) as states × guarded
-// receive clauses × action lists; the compiler lowers it to a postfix
-// instruction form executed by a tiny stack machine implementing
-// sim.Strategy, so compiled specs run on the exact arena hot path native
-// protocols use: same trial-seed derivation, same engine chunking, same
+// receive clauses × action lists; the compiler lowers each clause once to
+// a flat list of register instructions over a per-machine frame of slots
+// (no evaluation stack, no per-message setup), executed by a machine
+// implementing sim.Strategy, so compiled specs run on the exact arena hot
+// path native protocols use: same trial-seed derivation, same engine chunking, same
 // counter-based sim.Stream randomness. A compiled spec therefore inherits
 // the sim-v2 determinism contract wholesale — byte-identical outcome
 // distributions at any worker count, scheduler kind, or shard partition.

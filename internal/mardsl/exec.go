@@ -16,36 +16,33 @@ const maxReplayBuffer = 4096
 // what lets the protocol adapter declare BatchSafe and ride the engine's
 // batched strategy-vector reuse.
 type machine struct {
-	prog     *Program
-	n        int
-	target   int64
-	state    int
-	received int64
-	halted   bool
-	regs     []int64
-	buf      []int64
+	prog   *Program
+	n      int
+	target int64
+	state  int
+	halted bool
+	frame  []int64 // builtins, registers, constants, scratch (see compile.go)
+	buf    []int64
 }
 
 var _ sim.Strategy = (*machine)(nil)
 
-// Init resets every register, the replay buffer, and the state pointer,
-// then runs the start state's wake-up clause.
+// Init resets the frame — builtins, zeroed registers, constants — the
+// replay buffer, and the state pointer, then runs the start state's
+// wake-up clause.
 func (m *machine) Init(ctx *sim.Context) {
 	m.state = 0
-	m.received = 0
 	m.halted = false
 	m.buf = m.buf[:0]
-	if m.regs == nil {
-		m.regs = make([]int64, m.prog.nregs)
-	} else {
-		for i := range m.regs {
-			m.regs[i] = 0
-		}
+	if m.frame == nil {
+		m.frame = make([]int64, len(m.prog.frame))
 	}
-	st := &m.prog.states[0]
-	if st.hasInit {
-		m.exec(ctx, &st.init, 0)
-	}
+	f := m.frame
+	copy(f, m.prog.frame)
+	f[slotN] = int64(m.n)
+	f[slotSelf] = int64(ctx.Self())
+	f[slotTarget] = m.target
+	m.exec(ctx, m.prog.states[0].init)
 }
 
 // Receive counts the message and runs the current state's first matching
@@ -55,147 +52,109 @@ func (m *machine) Receive(ctx *sim.Context, _ sim.ProcID, value int64) {
 	if m.halted {
 		return
 	}
-	m.received++
-	st := &m.prog.states[m.state]
-	for i := range st.recv {
-		cl := &st.recv[i]
-		if m.match(ctx, cl, value) {
-			m.exec(ctx, cl, value)
+	m.frame[slotReceived]++
+	m.frame[slotMsg] = value
+	for _, code := range m.prog.states[m.state].recv {
+		if m.exec(ctx, code) {
 			return
 		}
 	}
 }
 
-// match evaluates a clause's guard.
-func (m *machine) match(ctx *sim.Context, cl *cClause, msg int64) bool {
-	for _, cond := range cl.guard {
-		l := m.eval(ctx, cond.l, msg)
-		r := m.eval(ctx, cond.r, msg)
-		var ok bool
-		switch cond.op {
-		case CmpEq:
-			ok = l == r
-		case CmpNe:
-			ok = l != r
-		case CmpLt:
-			ok = l < r
-		case CmpLe:
-			ok = l <= r
-		case CmpGt:
-			ok = l > r
-		case CmpGe:
-			ok = l >= r
-		}
-		if !ok {
-			return false
+// exec runs one clause's instructions. It reports false, having run no
+// action, when a guard test fails; the guard's rand draws up to the failed
+// test stay drawn, as the conditions are evaluated in order. Every
+// operation is total, so no validated program can fail or panic here.
+func (m *machine) exec(ctx *sim.Context, code []instr) bool {
+	f := m.frame
+	for _, in := range code {
+		a, b := f[in.a], f[in.b]
+		switch in.op {
+		case opAdd:
+			f[in.dst] = a + b
+		case opSub:
+			f[in.dst] = a - b
+		case opMul:
+			f[in.dst] = a * b
+		case opMod:
+			f[in.dst] = emod(a, b)
+		case opNeg:
+			f[in.dst] = -a
+		case opRand:
+			if a > 0 {
+				a = ctx.Rand().Int63n(a)
+			} else {
+				a = 0
+			}
+			f[in.dst] = a
+		case opLeader:
+			f[in.dst] = emod(a, f[slotN]) + 1
+		case opSumfor:
+			f[in.dst] = emod(a-1, f[slotN])
+		case opEq:
+			if a != b {
+				return false
+			}
+		case opNe:
+			if a == b {
+				return false
+			}
+		case opLt:
+			if a >= b {
+				return false
+			}
+		case opLe:
+			if a > b {
+				return false
+			}
+		case opGt:
+			if a <= b {
+				return false
+			}
+		case opGe:
+			if a < b {
+				return false
+			}
+		case opSet:
+			f[in.dst] = a
+		case opSend:
+			ctx.Send(a)
+		case opPush:
+			if len(m.buf) < maxReplayBuffer {
+				m.buf = append(m.buf, a)
+			}
+		case opReplay:
+			lo, hi := max(a, 0), min(b, int64(len(m.buf)))
+			for j := lo; j < hi; j++ {
+				ctx.Send(m.buf[j])
+			}
+		case opGoto:
+			m.state = int(in.dst)
+		case opTerminate:
+			m.halted = true
+			ctx.Terminate(a)
+		case opAbort:
+			m.halted = true
+			ctx.Abort()
 		}
 	}
 	return true
 }
 
-// exec runs a clause's actions.
-func (m *machine) exec(ctx *sim.Context, cl *cClause, msg int64) {
-	for i := range cl.acts {
-		act := &cl.acts[i]
-		switch act.kind {
-		case ActSet:
-			m.regs[act.reg] = m.eval(ctx, act.a, msg)
-		case ActSend:
-			ctx.Send(m.eval(ctx, act.a, msg))
-		case ActPush:
-			if len(m.buf) < maxReplayBuffer {
-				m.buf = append(m.buf, m.eval(ctx, act.a, msg))
-			}
-		case ActReplay:
-			lo := m.eval(ctx, act.a, msg)
-			hi := m.eval(ctx, act.b, msg)
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > int64(len(m.buf)) {
-				hi = int64(len(m.buf))
-			}
-			for j := lo; j < hi; j++ {
-				ctx.Send(m.buf[j])
-			}
-		case ActGoto:
-			m.state = act.state
-		case ActTerminate:
-			m.halted = true
-			ctx.Terminate(m.eval(ctx, act.a, msg))
-		case ActAbort:
-			m.halted = true
-			ctx.Abort()
-		case ActDrop:
-		}
-	}
-}
-
-// eval runs one postfix expression. Every operation is total, so
-// evaluation cannot fail or panic on any validated program.
-func (m *machine) eval(ctx *sim.Context, code cExpr, msg int64) int64 {
-	var stack [maxStack]int64
-	sp := 0
-	for _, in := range code {
-		switch in.op {
-		case oConst:
-			stack[sp] = in.arg
-			sp++
-		case oReg:
-			stack[sp] = m.regs[in.arg]
-			sp++
-		case oN:
-			stack[sp] = int64(m.n)
-			sp++
-		case oSelf:
-			stack[sp] = int64(ctx.Self())
-			sp++
-		case oReceived:
-			stack[sp] = m.received
-			sp++
-		case oMsg:
-			stack[sp] = msg
-			sp++
-		case oTarget:
-			stack[sp] = m.target
-			sp++
-		case oAdd:
-			sp--
-			stack[sp-1] += stack[sp]
-		case oSub:
-			sp--
-			stack[sp-1] -= stack[sp]
-		case oMul:
-			sp--
-			stack[sp-1] *= stack[sp]
-		case oMod:
-			sp--
-			stack[sp-1] = emod(stack[sp-1], stack[sp])
-		case oNeg:
-			stack[sp-1] = -stack[sp-1]
-		case oRand:
-			if b := stack[sp-1]; b > 0 {
-				stack[sp-1] = ctx.Rand().Int63n(b)
-			} else {
-				stack[sp-1] = 0
-			}
-		case oLeader:
-			stack[sp-1] = emod(stack[sp-1], int64(m.n)) + 1
-		case oSumfor:
-			stack[sp-1] = emod(stack[sp-1]-1, int64(m.n))
-		}
-	}
-	if sp == 0 {
-		return 0
-	}
-	return stack[sp-1]
-}
-
 // emod is the Euclidean remainder in [0, mod), matching ring.Mod, made
-// total by yielding 0 for a non-positive modulus.
+// total by yielding 0 for a non-positive modulus. Like ring.Mod it skips
+// the hardware division for dividends in [−mod, 2·mod), where nearly every
+// spec's arithmetic lands: sums of two residues and residue differences.
 func emod(v, mod int64) int64 {
-	if mod <= 0 {
+	switch {
+	case mod <= 0:
 		return 0
+	case v >= 0 && v < mod:
+		return v
+	case v >= mod && v-mod < mod:
+		return v - mod
+	case v < 0 && v >= -mod:
+		return v + mod
 	}
 	r := v % mod
 	if r < 0 {
@@ -228,10 +187,16 @@ func (p Protocol) Name() string { return p.prog.Name }
 func (p Protocol) BatchSafe() {}
 
 // Strategies implements ring.Protocol: every position runs a fresh machine.
+// The machines and their frames share two backing arrays, so a trial
+// allocates three objects whatever n is.
 func (p Protocol) Strategies(n int) ([]sim.Strategy, error) {
 	out := make([]sim.Strategy, n)
+	machines := make([]machine, n)
+	k := len(p.prog.frame)
+	frames := make([]int64, n*k)
 	for i := range out {
-		out[i] = &machine{prog: p.prog, n: n}
+		machines[i] = machine{prog: p.prog, n: n, frame: frames[i*k : (i+1)*k : (i+1)*k]}
+		out[i] = &machines[i]
 	}
 	return out, nil
 }

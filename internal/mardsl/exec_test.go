@@ -1,6 +1,7 @@
 package mardsl
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -256,5 +257,34 @@ func TestProgramLimitsCompile(t *testing.T) {
 	res := runSpec(t, b.String(), 3)
 	if res.Failed || res.Output != 1 {
 		t.Fatalf("max-register spec misbehaved: %+v", res)
+	}
+}
+
+// TestEmodBoundaries pins the division-free fast paths of emod against the
+// plain definition (v % m, shifted into [0, m)) at the edges of each range
+// they cover, and the total rule that a non-positive modulus yields 0.
+func TestEmodBoundaries(t *testing.T) {
+	ref := func(v, m int64) int64 {
+		r := v % m
+		if r < 0 {
+			r += m
+		}
+		return r
+	}
+	for _, m := range []int64{1, 2, 7, 64, 1 << 40, math.MaxInt64/2 + 1, math.MaxInt64} {
+		for _, v := range []int64{
+			math.MinInt64, -2 * m, -m - 1, -m, -1, 0, m - 1, m, 2*m - 1, 2 * m, math.MaxInt64,
+		} {
+			if got, want := emod(v, m), ref(v, m); got != want {
+				t.Errorf("emod(%d, %d) = %d, want %d", v, m, got, want)
+			}
+		}
+	}
+	for _, m := range []int64{0, -1, -7, math.MinInt64} {
+		for _, v := range []int64{math.MinInt64, -1, 0, 1, 5, math.MaxInt64} {
+			if got := emod(v, m); got != 0 {
+				t.Errorf("emod(%d, %d) = %d, want 0", v, m, got)
+			}
+		}
 	}
 }

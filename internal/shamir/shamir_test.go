@@ -130,3 +130,139 @@ func TestFieldOps(t *testing.T) {
 		t.Errorf("Fermat check failed: 3^(P−1) = %d", got)
 	}
 }
+
+// lagrangeAt is the textbook quadratic Lagrange form, one inversion per
+// term: the oracle the barycentric and precomputed paths must equal.
+func lagrangeAt(t *testing.T, shares []Share, x int64) int64 {
+	t.Helper()
+	var acc int64
+	for i, si := range shares {
+		num, den := int64(1), int64(1)
+		for j, sj := range shares {
+			if i != j {
+				num = mulmod(num, mod(x-sj.X))
+				den = mulmod(den, mod(si.X-sj.X))
+			}
+		}
+		inv, err := invmod(den)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc = mod(acc + mulmod(si.Value, mulmod(num, inv)))
+	}
+	return acc
+}
+
+func TestBasisMatchesTextbookLagrange(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(30)
+		threshold := 1 + rng.Intn(n)
+		secret := rng.Int63n(P)
+		shares, err := Split(secret, threshold, n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBasis(n, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]int64, n)
+		for i, s := range shares {
+			vals[i] = s.Value
+		}
+		if got, want := b.Secret(vals), lagrangeAt(t, shares[:threshold], 0); got != want || got != secret {
+			t.Fatalf("n=%d t=%d: basis secret %d, textbook %d, shared %d", n, threshold, got, want, secret)
+		}
+		if !b.Consistent(vals) {
+			t.Fatalf("n=%d t=%d: honest shares inconsistent", n, threshold)
+		}
+		if threshold == n {
+			continue // no probe point: every vector is consistent
+		}
+		idx := rng.Intn(n)
+		vals[idx] = mod(vals[idx] + 1 + rng.Int63n(P-1))
+		shares[idx].Value = vals[idx]
+		public, err := Consistent(shares, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Consistent(vals) || public {
+			t.Fatalf("n=%d t=%d: tampered share %d undetected (basis %v, public %v)",
+				n, threshold, idx+1, b.Consistent(vals), public)
+		}
+	}
+}
+
+func TestPublicPathMatchesTextbookLagrangeAtArbitraryPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(12)
+		coeffs := make([]int64, k)
+		for i := range coeffs {
+			coeffs[i] = rng.Int63n(P)
+		}
+		seen := map[int64]bool{}
+		shares := make([]Share, 0, k+4)
+		for len(shares) < cap(shares) {
+			x := 1 + rng.Int63n(P-1)
+			if !seen[x] {
+				seen[x] = true
+				shares = append(shares, Share{X: x, Value: eval(coeffs, x)})
+			}
+		}
+		got, err := Reconstruct(shares[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := lagrangeAt(t, shares[:k], 0); got != want || got != coeffs[0] {
+			t.Fatalf("k=%d: Reconstruct %d, textbook %d, constant term %d", k, got, want, coeffs[0])
+		}
+		x := rng.Int63n(P)
+		if got, err := interpolateAt(shares[:k], x); err != nil || got != lagrangeAt(t, shares[:k], x) {
+			t.Fatalf("k=%d: interpolateAt(%d) = %d (err %v), textbook %d", k, x, got, err, lagrangeAt(t, shares[:k], x))
+		}
+		if ok, err := Consistent(shares, k); err != nil || !ok {
+			t.Fatalf("k=%d: points on one polynomial inconsistent (err %v)", k, err)
+		}
+		shares[k+rng.Intn(4)].Value ^= 1
+		if ok, err := Consistent(shares, k); err != nil || ok {
+			t.Fatalf("k=%d: tampered probe undetected (err %v)", k, err)
+		}
+	}
+}
+
+func TestValidationErrorsUnchanged(t *testing.T) {
+	cases := []struct {
+		name string
+		err  func() error
+		want string
+	}{
+		{"no shares", func() error { _, err := Reconstruct(nil); return err }, "shamir: no shares"},
+		{"point 0", func() error { _, err := Reconstruct([]Share{{X: 2, Value: 1}, {X: 0, Value: 1}}); return err },
+			"shamir: invalid evaluation point 0"},
+		{"point P", func() error { _, err := Reconstruct([]Share{{X: P, Value: 1}}); return err },
+			"shamir: invalid evaluation point 2147483647"},
+		{"duplicate", func() error {
+			_, err := Reconstruct([]Share{{X: 3, Value: 1}, {X: 5, Value: 2}, {X: 3, Value: 4}})
+			return err
+		}, "shamir: duplicate evaluation point 3"},
+		{"invalid before duplicate", func() error {
+			_, err := Reconstruct([]Share{{X: 3, Value: 1}, {X: -1, Value: 2}, {X: 3, Value: 4}})
+			return err
+		}, "shamir: invalid evaluation point -1"},
+		{"below threshold", func() error { _, err := Consistent([]Share{{X: 1, Value: 1}}, 2); return err },
+			"shamir: 1 shares below threshold 2"},
+		{"duplicate base", func() error {
+			_, err := Consistent([]Share{{X: 1, Value: 1}, {X: 1, Value: 2}, {X: 2, Value: 3}}, 2)
+			return err
+		}, "shamir: zero has no inverse"},
+		{"basis threshold", func() error { _, err := NewBasis(4, 5); return err },
+			"shamir: threshold 5 out of range [1,4]"},
+	}
+	for _, tc := range cases {
+		if err := tc.err(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
